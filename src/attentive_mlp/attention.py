@@ -6,7 +6,11 @@ attention variants (covariance-based and pseudo-query-based), a step-wise
 causal evaluation of the covariance variant, and a multi-head wrapper.
 
 All forwards are pure functions; anything fed Vars is recorded on their tape
-and differentiable.
+and differentiable.  The non-causal forwards take rank-2 activations, or
+rank 3 with a leading batch axis that they pass through unchanged: each batch
+entry gets its own second-moment summaries.  A rank-2 operand facing a rank-3
+one (such as a query block shared by every source in a batch) is shared by
+every batch entry.
 """
 
 from __future__ import annotations
@@ -76,32 +80,38 @@ def _data(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    """Query/key/value bundle: q is n x d, k and v are m x d."""
+    """Query/key/value bundle: q is n x d, k and v are m x d, each optionally batched.
+
+    Any of the three may carry a leading batch axis B; those that do must
+    agree on it, and a rank-2 member is shared by every batch entry.
+    """
 
     q: object
     k: object
     v: object
 
     def __post_init__(self):
-        qs, ks, vs = _shape(self.q), _shape(self.k), _shape(self.v)
-        if len(qs) != 2 or len(ks) != 2 or len(vs) != 2:
-            raise DimensionError(f"inputs must be rank 2, got {qs}, {ks}, {vs}")
-        if ks[0] != vs[0]:
+        shapes = qs, ks, vs = _shape(self.q), _shape(self.k), _shape(self.v)
+        if any(len(s) not in (2, 3) for s in shapes):
+            raise DimensionError(f"inputs must be rank 2 or 3, got {qs}, {ks}, {vs}")
+        if len({s[0] for s in shapes if len(s) == 3}) > 1:
+            raise DimensionError(f"batch extents differ: {qs}, {ks}, {vs}")
+        if ks[-2] != vs[-2]:
             raise DimensionError(f"k and v must share rows: {ks} vs {vs}")
-        if qs[1] != ks[1]:
+        if qs[-1] != ks[-1]:
             raise DimensionError(f"q and k must share width: {qs} vs {ks}")
 
     @property
     def n(self) -> int:
-        return _shape(self.q)[0]
+        return _shape(self.q)[-2]
 
     @property
     def m(self) -> int:
-        return _shape(self.k)[0]
+        return _shape(self.k)[-2]
 
     @property
     def d(self) -> int:
-        return _shape(self.q)[1]
+        return _shape(self.q)[-1]
 
 
 def _check_sigma1(name: str) -> str:
@@ -302,9 +312,10 @@ def distance_attention(inputs: AttentionInputs, sigma):
 def amlp_cov_weights(inputs: AttentionInputs, params: AmlpCovParams):
     """Adaptive weights from query/key covariances and the key-value cross term.
 
-    Returns (w_qk, w_qkv) with shapes d x c and c x d.  Covariances are
-    row-normalized with softmax before projection, so each row of the combined
-    map is a convex mixture of projected covariance rows.
+    Returns (w_qk, w_qkv) with shapes d x c and c x d, per batch entry when
+    the inputs are batched.  Covariances are row-normalized with softmax before
+    projection, so each row of the combined map is a convex mixture of
+    projected covariance rows.
     """
     if params.d != inputs.d:
         raise DimensionError(f"params are for width {params.d}, inputs have {inputs.d}")
@@ -318,7 +329,7 @@ def amlp_cov_weights(inputs: AttentionInputs, params: AmlpCovParams):
 
 
 def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
-    """sigma1(Q w_qk) w_qkv with covariance-derived weights; output is n x d.
+    """sigma1(Q w_qk) w_qkv with covariance-derived weights; output is ([B x] n) x d.
 
     Every intermediate is at most max(n, m) x max(c, d) or d x d; cost and
     memory grow linearly in n + m for fixed c, d.
@@ -353,7 +364,7 @@ def amlp_pquery_weights(inputs: AttentionInputs, params: AmlpPQueryParams):
 
 
 def amlp_pquery_forward(inputs: AttentionInputs, params: AmlpPQueryParams):
-    """sigma1(Q w_qk) w_qkv with pseudo-query weights; output is n x d."""
+    """sigma1(Q w_qk) w_qkv with pseudo-query weights; output is ([B x] n) x d."""
     w_qk, w_qkv = amlp_pquery_weights(inputs, params)
     hidden = _apply_sigma1(matmul(inputs.q, w_qk), params.sigma1)
     return matmul(hidden, w_qkv)
@@ -398,7 +409,8 @@ def causal_amlp_cov_step(
 
     The accumulated sums make each output equal the corresponding row of the
     non-causal covariance forward applied to the prefix seen so far.  Per-step
-    cost is Theta(c*d + d*d), independent of how many tokens came before.
+    cost is Theta(c*d^2) (two c x d by d x d products), independent of how many
+    tokens came before.
     """
     qv, kv, vv = _data(q_t), _data(k_t), _data(v_t)
     d = state.s_q.shape[0]
@@ -475,9 +487,10 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
 
     Each head sees a contiguous d_model/heads slice of the projected
     features and runs the configured mechanism with its own parameters.
+    Either input may carry a leading batch axis, which the output keeps.
     """
     d_model = params.d_model
-    if _shape(x_target)[1] != d_model or _shape(x_source)[1] != d_model:
+    if _shape(x_target)[-1] != d_model or _shape(x_source)[-1] != d_model:
         raise DimensionError(
             f"inputs must have width {d_model}, got {_shape(x_target)} and {_shape(x_source)}"
         )

@@ -200,6 +200,9 @@ def _cmd_bench(args, parser) -> int:
 def _cmd_train(args, parser) -> int:
     s = _effective(args, _TRAIN_SCHEMA, parser)
     _echo_config("train", s)
+    for key in ("batch_size", "eval_samples"):
+        if s[key] < 1:
+            parser.error(f"{key} must be >= 1, got {s[key]}")
     try:
         config = NarConfig(
             vocab_size=s["vocab"],

@@ -32,7 +32,6 @@ from .tensor import (
     gather_rows,
     layer_norm,
     matmul,
-    scale,
 )
 
 __all__ = [
@@ -47,6 +46,9 @@ __all__ = [
 ]
 
 VARIANTS = ("cov", "pquery", "softmax")
+
+# sources decoded per forward by `evaluate`; bounds its activation memory
+EVAL_BATCH = 1024
 
 CHECKPOINT_MAGIC = "attentive-mlp-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -159,8 +161,12 @@ class NarModel:
     # -- forward ----------------------------------------------------------
 
     def _check_source(self, source_tokens) -> np.ndarray:
-        src = np.asarray(source_tokens, dtype=np.int64)
-        if src.shape != (self.config.source_len,):
+        """One source (source_len,) or a nonempty batch (B, source_len) of token ids."""
+        try:
+            src = np.asarray(source_tokens, dtype=np.int64)
+        except ValueError as exc:  # ragged batch
+            raise InputError(f"sources must all have {self.config.source_len} tokens: {exc}") from None
+        if src.ndim not in (1, 2) or src.shape[-1] != self.config.source_len or src.size == 0:
             raise InputError(
                 f"source must have {self.config.source_len} tokens, got shape {src.shape}"
             )
@@ -199,6 +205,11 @@ class NarModel:
         return multi_head_forward(x_target, x_source, mh)
 
     def _forward(self, source_tokens, p):
+        """Logits (seq_len, vocab) for one source, or (B, seq_len, vocab) for a batch (B, source_len).
+
+        The decoder's self-attention block sees only position embeddings and
+        parameters, so it runs once at rank 2 and is shared by every source.
+        """
         src = self._check_source(source_tokens)
         x = add(gather_rows(p["embed"], src), p["src_pos"])
         x = layer_norm(add(x, self._attention("enc_self", x, x, p)), p["enc_ln1.g"], p["enc_ln1.b"])
@@ -215,53 +226,61 @@ class NarModel:
         return add_bias(matmul(y, p["out_w"]), p["out_b"])
 
     def forward(self, source_tokens) -> Tensor:
-        """Logits for all target positions in one pass, shape seq_len x vocab."""
+        """Logits for all target positions in one pass: seq_len x vocab, or B x seq_len x vocab."""
         p = {k: Tensor(v) for k, v in self.params.items()}
         return self._forward(source_tokens, p)
 
     # -- training ---------------------------------------------------------
 
-    def train_step(self, batch) -> float:
-        """One SGD step on a batch of (source, target) pairs; returns the pre-update loss."""
+    def loss_and_grads(self, batch) -> tuple[float, dict[str, np.ndarray]]:
+        """Mean cross-entropy over a batch of (source, target) pairs and its parameter gradients.
+
+        The whole batch runs as one forward and one backward over (B, n) sources.
+        """
         if not batch:
             raise ContractError("batch must be nonempty")
+        sources = self._check_source([source for source, _ in batch])
+        targets = np.asarray([target for _, target in batch], dtype=np.int64)
         tape = Tape()
         p = {k: tape.leaf(Tensor(v), requires_grad=True) for k, v in self.params.items()}
-        total = None
-        for source, target in batch:
-            logits = self._forward(source, p)
-            sample_loss = cross_entropy(logits, np.asarray(target, dtype=np.int64))
-            total = sample_loss if total is None else add(total, sample_loss)
-        loss = scale(total, 1.0 / len(batch))
+        loss = cross_entropy(self._forward(sources, p), targets)
         backward(tape, loss)
+        return loss.item(), {name: var.grad.data for name, var in p.items()}
+
+    def train_step(self, batch) -> float:
+        """One SGD step on a batch of (source, target) pairs; returns the pre-update loss."""
+        loss, grads = self.loss_and_grads(batch)
         lr = self.config.learning_rate
         if lr != 0.0:
-            for name, var in p.items():
-                self.params[name] = self.params[name] - lr * var.grad.data
-        return loss.item()
+            for name, grad in grads.items():
+                self.params[name] = self.params[name] - lr * grad
+        return loss
 
     # -- inference --------------------------------------------------------
 
     def generate(self, source_tokens) -> np.ndarray:
-        """Argmax decode of every position at once; ties pick the lower token id."""
-        logits = self.forward(source_tokens)
-        return np.argmax(logits.data, axis=1)
+        """Argmax decode of every position of one source or a batch; ties pick the lower token id."""
+        return np.argmax(self.forward(source_tokens).data, axis=-1)
 
     def evaluate(self, task: SyntheticTask, num_samples: int, split: str = "eval") -> float:
         return evaluate(self, task, num_samples, split=split)
 
 
 def evaluate(model, task: SyntheticTask, num_samples: int, split: str = "eval") -> float:
-    """Fraction of positions where the model's decode matches the ground truth."""
+    """Fraction of positions where the model's decode matches the ground truth.
+
+    The split is decoded in batches of at most EVAL_BATCH sources, one
+    ``generate`` call each, so memory stays bounded for any sample count.
+    """
     if num_samples < 1:
         raise ContractError(f"num_samples must be >= 1, got {num_samples}")
+    pairs = task.sample(num_samples, split=split)
     correct = 0
-    total = 0
-    for source, target in task.sample(num_samples, split=split):
-        pred = np.asarray(model.generate(source))
-        correct += int((pred == target).sum())
-        total += len(target)
-    return correct / total
+    for lo in range(0, num_samples, EVAL_BATCH):
+        chunk = pairs[lo : lo + EVAL_BATCH]
+        pred = np.asarray(model.generate(np.stack([source for source, _ in chunk])))
+        correct += int((pred == np.stack([target for _, target in chunk])).sum())
+    return correct / (num_samples * task.length)
 
 
 def train(

@@ -4,6 +4,12 @@ Everything downstream (attention mechanisms, the toy sequence model) is built
 from the small op vocabulary in this module.  Ops accept either plain Tensors
 (pure evaluation) or Vars bound to a Tape (recorded, differentiable); the two
 modes share one code path.
+
+The matrix ops take rank 2, or rank 3 with a leading batch axis: they act on
+the last two axes, and every batch entry is computed independently.  In a
+binary op a rank-2 operand may meet a rank-3 one (a parameter applied to a
+batch of activations); it is shared by every batch entry, and its gradient is
+the sum over the batch.
 """
 
 from __future__ import annotations
@@ -228,18 +234,31 @@ def _dispatch(out: np.ndarray, operands: tuple, make_bw: Callable):
 # ---------------------------------------------------------------------------
 
 
+def _check_batch(av, bv, op):
+    """Two operands of a binary matrix op must be rank 2 or 3 and agree on any batch extent."""
+    if av.ndim not in (2, 3) or bv.ndim not in (2, 3):
+        raise DimensionError(f"{op} needs rank-2 or rank-3 operands, got {av.shape} and {bv.shape}")
+    if av.ndim == bv.ndim == 3 and av.shape[0] != bv.shape[0]:
+        raise DimensionError(f"{op} batch extents differ: {av.shape} vs {bv.shape}")
+
+
+def _unbatch(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum a gradient over the batch axis that an operand of rank `ndim` was shared along."""
+    return g.sum(axis=0) if g.ndim > ndim else g
+
+
 def matmul(a, b):
-    """Matrix product of two rank-2 operands."""
+    """Matrix product over the last two axes of rank-2 or rank-3 operands."""
     av, bv = _val(a), _val(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise DimensionError(f"matmul needs rank-2 operands, got {av.shape} @ {bv.shape}")
-    if av.shape[1] != bv.shape[0]:
+    _check_batch(av, bv, "matmul")
+    if av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {av.shape} @ {bv.shape}")
     out = av @ bv
 
     def make_bw():
         def bw(g):
-            return (_MATMUL_GRAD_SCALE * (g @ bv.T), av.T @ g)
+            ga = _MATMUL_GRAD_SCALE * (g @ np.swapaxes(bv, -1, -2))
+            return (_unbatch(ga, av.ndim), _unbatch(np.swapaxes(av, -1, -2) @ g, bv.ndim))
 
         return bw
 
@@ -247,14 +266,15 @@ def matmul(a, b):
 
 
 def transpose(a):
+    """Swap the last two axes of a rank-2 or rank-3 operand."""
     av = _val(a)
-    if av.ndim != 2:
-        raise DimensionError(f"transpose needs a rank-2 operand, got shape {av.shape}")
-    out = np.ascontiguousarray(av.T)
+    if av.ndim not in (2, 3):
+        raise DimensionError(f"transpose needs a rank-2 or rank-3 operand, got shape {av.shape}")
+    out = np.ascontiguousarray(np.swapaxes(av, -1, -2))
 
     def make_bw():
         def bw(g):
-            return (np.ascontiguousarray(g.T),)
+            return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),)
 
         return bw
 
@@ -262,27 +282,33 @@ def transpose(a):
 
 
 def _same_shape(av, bv, op):
-    if av.shape != bv.shape:
+    """Elementwise operands match, or a rank-2 one matches each entry of a rank-3 one."""
+    if av.shape == bv.shape:
+        return
+    low, high = (av, bv) if av.ndim < bv.ndim else (bv, av)
+    if not (low.ndim == 2 and high.ndim == 3 and high.shape[1:] == low.shape):
         raise DimensionError(f"{op} needs matching shapes, got {av.shape} vs {bv.shape}")
 
 
 def add(a, b):
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "add")
-    return _dispatch(av + bv, (a, b), lambda: lambda g: (g, g))
+    return _dispatch(av + bv, (a, b), lambda: lambda g: (_unbatch(g, av.ndim), _unbatch(g, bv.ndim)))
 
 
 def sub(a, b):
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "sub")
-    return _dispatch(av - bv, (a, b), lambda: lambda g: (g, -g))
+    return _dispatch(av - bv, (a, b), lambda: lambda g: (_unbatch(g, av.ndim), -_unbatch(g, bv.ndim)))
 
 
 def mul(a, b):
     """Elementwise product."""
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "mul")
-    return _dispatch(av * bv, (a, b), lambda: lambda g: (g * bv, g * av))
+    return _dispatch(
+        av * bv, (a, b), lambda: lambda g: (_unbatch(g * bv, av.ndim), _unbatch(g * av, bv.ndim))
+    )
 
 
 def scale(a, s: float):
@@ -293,11 +319,12 @@ def scale(a, s: float):
 
 
 def add_bias(x, b):
-    """Add a rank-1 bias to every row of a rank-2 operand."""
+    """Add a rank-1 bias to every row of a rank-2 or rank-3 operand."""
     xv, bv = _val(x), _val(b)
-    if xv.ndim != 2 or bv.ndim != 1 or xv.shape[1] != bv.shape[0]:
-        raise DimensionError(f"add_bias needs (n,k) plus (k,), got {xv.shape} and {bv.shape}")
-    return _dispatch(xv + bv[None, :], (x, b), lambda: lambda g: (g, g.sum(axis=0)))
+    if xv.ndim not in (2, 3) or bv.ndim != 1 or xv.shape[-1] != bv.shape[0]:
+        raise DimensionError(f"add_bias needs ([B,]n,k) plus (k,), got {xv.shape} and {bv.shape}")
+    rows = tuple(range(xv.ndim - 1))
+    return _dispatch(xv + bv, (x, b), lambda: lambda g: (g, g.sum(axis=rows)))
 
 
 def relu(x):
@@ -342,26 +369,31 @@ def softmax(x):
 
 
 def concat(a, b, axis: int):
-    """Concatenate two rank-2 operands along axis 0 (rows) or 1 (columns)."""
+    """Concatenate along axis 0 (rows) or 1 (columns) of each operand's last two axes.
+
+    A rank-2 operand joined to a rank-3 one is repeated for every batch entry.
+    """
     av, bv = _val(a), _val(b)
-    if av.ndim != 2 or bv.ndim != 2:
-        raise DimensionError(f"concat needs rank-2 operands, got {av.shape}, {bv.shape}")
+    _check_batch(av, bv, "concat")
     if axis not in (0, 1):
         raise DimensionError(f"concat axis must be 0 or 1, got {axis}")
-    other = 1 - axis
+    ax, other = axis - 2, -1 - axis  # positions counted from the end
     if av.shape[other] != bv.shape[other]:
         raise DimensionError(
-            f"concat along axis {axis} needs matching extent on axis {other}: "
+            f"concat along axis {axis} needs matching extent on axis {1 - axis}: "
             f"{av.shape} vs {bv.shape}"
         )
-    out = np.concatenate([av, bv], axis=axis)
-    split = av.shape[axis]
+    parts = [av, bv]
+    if av.ndim != bv.ndim:
+        batch = (av if av.ndim == 3 else bv).shape[0]
+        parts = [np.broadcast_to(v, (batch, *v.shape[-2:])) for v in parts]
+    out = np.concatenate(parts, axis=ax)
+    split = av.shape[ax]
 
     def make_bw():
         def bw(g):
-            if axis == 0:
-                return (g[:split], g[split:])
-            return (g[:, :split], g[:, split:])
+            ga, gb = np.split(g, [split], axis=ax)
+            return (_unbatch(ga, av.ndim), _unbatch(gb, bv.ndim))
 
         return bw
 
@@ -369,18 +401,18 @@ def concat(a, b, axis: int):
 
 
 def slice_cols(x, start: int, stop: int):
-    """Contiguous column slice of a rank-2 operand."""
+    """Contiguous slice of the last axis of a rank-2 or rank-3 operand."""
     xv = _val(x)
-    if xv.ndim != 2:
-        raise DimensionError(f"slice_cols needs a rank-2 operand, got shape {xv.shape}")
-    if not (0 <= start < stop <= xv.shape[1]):
+    if xv.ndim not in (2, 3):
+        raise DimensionError(f"slice_cols needs a rank-2 or rank-3 operand, got shape {xv.shape}")
+    if not (0 <= start < stop <= xv.shape[-1]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for shape {xv.shape}")
-    out = xv[:, start:stop].copy()
+    out = xv[..., start:stop].copy()
 
     def make_bw():
         def bw(g):
             full = np.zeros_like(xv)
-            full[:, start:stop] = g
+            full[..., start:stop] = g
             return (full,)
 
         return bw
@@ -405,29 +437,30 @@ def sum_all(x):
 def ema(x, beta: float):
     """Exponential moving average over rows: out_i = b*out_{i-1} + (1-b)*x_i.
 
-    The running state starts at the first row, so out_1 == x_1 exactly and
-    beta == 1 holds the first row forever.
+    Rows are the second-to-last axis, so each batch entry of a rank-3 operand
+    is smoothed on its own.  The running state starts at the first row, so
+    out_1 == x_1 exactly and beta == 1 holds the first row forever.
     """
     beta = float(beta)
     if not (0.0 <= beta <= 1.0):
         raise ContractError(f"ema beta must be in [0, 1], got {beta}")
     xv = _val(x)
-    if xv.ndim != 2:
-        raise DimensionError(f"ema needs a rank-2 operand, got shape {xv.shape}")
-    n = xv.shape[0]
+    if xv.ndim not in (2, 3):
+        raise DimensionError(f"ema needs a rank-2 or rank-3 operand, got shape {xv.shape}")
+    n = xv.shape[-2]
     out = np.empty_like(xv)
-    out[0] = xv[0]
+    out[..., 0, :] = xv[..., 0, :]
     for i in range(1, n):
-        out[i] = beta * out[i - 1] + (1.0 - beta) * xv[i]
+        out[..., i, :] = beta * out[..., i - 1, :] + (1.0 - beta) * xv[..., i, :]
 
     def make_bw():
         def bw(g):
             gx = np.empty_like(g)
-            carry = g[n - 1].copy()
+            carry = g[..., n - 1, :].copy()
             for i in range(n - 1, 0, -1):
-                gx[i] = (1.0 - beta) * carry
-                carry = g[i - 1] + beta * carry
-            gx[0] = carry
+                gx[..., i, :] = (1.0 - beta) * carry
+                carry = g[..., i - 1, :] + beta * carry
+            gx[..., 0, :] = carry
             return (gx,)
 
         return bw
@@ -436,27 +469,27 @@ def ema(x, beta: float):
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
-    """Row-wise normalization of a rank-2 operand with learned gain and bias."""
+    """Row-wise normalization of a rank-2 or rank-3 operand with learned gain and bias."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
-    if xv.ndim != 2 or gv.shape != (xv.shape[1],) or bv.shape != (xv.shape[1],):
+    if xv.ndim not in (2, 3) or gv.shape != (xv.shape[-1],) or bv.shape != (xv.shape[-1],):
         raise DimensionError(
-            f"layer_norm needs (n,d) with (d,) gain/bias, got {xv.shape}, {gv.shape}, {bv.shape}"
+            f"layer_norm needs ([B,]n,d) with (d,) gain/bias, got {xv.shape}, {gv.shape}, {bv.shape}"
         )
-    mu = xv.mean(axis=1, keepdims=True)
-    var = xv.var(axis=1, keepdims=True)
+    mu = xv.mean(axis=-1, keepdims=True)
+    var = xv.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xv - mu) * inv
-    out = xhat * gv[None, :] + bv[None, :]
+    out = xhat * gv + bv
 
     def make_bw():
-        d = xv.shape[1]
+        rows = tuple(range(xv.ndim - 1))
 
         def bw(g):
-            dgain = (g * xhat).sum(axis=0)
-            dbias = g.sum(axis=0)
-            dxhat = g * gv[None, :]
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            dgain = (g * xhat).sum(axis=rows)
+            dbias = g.sum(axis=rows)
+            dxhat = g * gv
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             dx = inv * (dxhat - m1 - xhat * m2)
             return (dx, dgain, dbias)
 
@@ -466,11 +499,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
 
 
 def gather_rows(table, indices):
-    """Select rows of a rank-2 table; backward scatter-adds into the table."""
+    """Select rows of a rank-2 table by rank-1 or rank-2 indices; backward scatter-adds."""
     tv = _val(table)
     idx = np.asarray(indices, dtype=np.int64)
-    if tv.ndim != 2 or idx.ndim != 1:
-        raise DimensionError(f"gather_rows needs a rank-2 table and rank-1 indices")
+    if tv.ndim != 2 or idx.ndim not in (1, 2):
+        raise DimensionError("gather_rows needs a rank-2 table and rank-1 or rank-2 indices")
     if idx.size == 0 or idx.min() < 0 or idx.max() >= tv.shape[0]:
         raise ContractError(f"indices out of range for table with {tv.shape[0]} rows")
     out = tv[idx].copy()
@@ -487,15 +520,21 @@ def gather_rows(table, indices):
 
 
 def cross_entropy(logits, targets):
-    """Mean negative log-likelihood of integer targets under row softmax."""
-    lv = _val(logits)
+    """Mean negative log-likelihood of integer targets under row softmax.
+
+    Logits (n, v) take n targets; a batch (B, n, v) takes (B, n) targets, and
+    the mean runs over all B*n positions.
+    """
+    full = _val(logits)
     idx = np.asarray(targets, dtype=np.int64)
-    if lv.ndim != 2 or idx.shape != (lv.shape[0],):
+    if full.ndim not in (2, 3) or idx.shape != full.shape[:-1]:
         raise DimensionError(
-            f"cross_entropy needs (n,v) logits with n targets, got {lv.shape} and {idx.shape}"
+            f"cross_entropy needs ([B,]n,v) logits with ([B,]n) targets, got {full.shape} and {idx.shape}"
         )
-    if idx.min() < 0 or idx.max() >= lv.shape[1]:
-        raise ContractError(f"target out of range for {lv.shape[1]} classes")
+    if idx.min() < 0 or idx.max() >= full.shape[-1]:
+        raise ContractError(f"target out of range for {full.shape[-1]} classes")
+    lv = full.reshape(-1, full.shape[-1])
+    idx = idx.reshape(-1)
     n = lv.shape[0]
     shifted = lv - lv.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
@@ -507,7 +546,7 @@ def cross_entropy(logits, targets):
         def bw(g):
             dl = probs.copy()
             dl[np.arange(n), idx] -= 1.0
-            return (dl * (float(g) / n),)
+            return ((dl * (float(g) / n)).reshape(full.shape),)
 
         return bw
 

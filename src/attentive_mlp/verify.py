@@ -137,6 +137,20 @@ def _check_grad_cov(seed: int):
     return _grad_detail(finite_difference_check(f, [cq, ck, q], h=GRAD_H, tol=GRAD_TOL))
 
 
+def _check_grad_batched_cov(seed: int):
+    # rank-3 activations with rank-2 projections shared across the batch
+    rng = np.random.default_rng([seed, 11])
+    q, k, v = _t(rng, 2, 4, 4), _t(rng, 2, 5, 4), _t(rng, 2, 5, 4)
+    cq, ck = _param(rng, 2, 4), _param(rng, 2, 4)
+    probe = _t(rng, 2, 4, 4)
+
+    def f(a, b, qv):
+        out = amlp_cov_forward(AttentionInputs(qv, k, v), AmlpCovParams(a, b))
+        return sum_all(T.mul(out, probe))
+
+    return _grad_detail(finite_difference_check(f, [cq, ck, q], h=GRAD_H, tol=GRAD_TOL))
+
+
 def _check_grad_pquery(seed: int):
     rng = np.random.default_rng([seed, 6])
     q, k, v = _t(rng, 4, 4), _t(rng, 5, 4), _t(rng, 5, 4)
@@ -237,6 +251,7 @@ _PROPERTIES = [
     ("gradient_softmax_attention", _check_grad_softmax_attention),
     ("gradient_mlp", _check_grad_mlp),
     ("gradient_amlp_cov", _check_grad_cov),
+    ("gradient_batched_amlp_cov", _check_grad_batched_cov),
     ("gradient_amlp_pquery", _check_grad_pquery),
     ("low_rank_exact_recovery", _check_low_rank_exact),
     ("low_rank_dropped_mass", _check_low_rank_dropped),

@@ -567,6 +567,38 @@ class TestMultiHead:
             MultiHeadParams("softmax", 4, eye, eye, eye, eye)
 
 
+class TestBatchAxis:
+    """A leading batch axis passes through: each entry equals its own unbatched forward."""
+
+    @pytest.mark.parametrize("mechanism", ["softmax", "cov", "pquery"])
+    @pytest.mark.parametrize("shared_target", [False, True], ids=["batched", "shared"])
+    def test_multi_head_matches_per_sample(self, mechanism, shared_target):
+        rng = np.random.default_rng(35)
+        d_model, h, batch = 8, 2, 3
+        head_params = []
+        if mechanism == "cov":
+            head_params = [cov_params(rng, 2, 4) for _ in range(h)]
+        elif mechanism == "pquery":
+            head_params = [pquery_params(rng, 2, 4) for _ in range(h)]
+        params = MultiHeadParams(
+            mechanism,
+            h,
+            *(Tensor(rng.standard_normal((d_model, d_model)) * d_model**-0.5) for _ in range(4)),
+            head_params=head_params,
+        )
+        x_t = rng.standard_normal((5, d_model) if shared_target else (batch, 5, d_model))
+        x_s = rng.standard_normal((batch, 6, d_model))
+        out = multi_head_forward(Tensor(x_t), Tensor(x_s), params)
+        assert out.shape == (batch, 5, d_model)
+        for b in range(batch):
+            alone = multi_head_forward(Tensor(x_t if shared_target else x_t[b]), Tensor(x_s[b]), params)
+            np.testing.assert_allclose(out.data[b], alone.data, rtol=0, atol=1e-12)
+
+    def test_mismatched_batch_extents_rejected(self):
+        with pytest.raises(DimensionError):
+            AttentionInputs(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 5, 4))), Tensor(np.zeros((3, 5, 4))))
+
+
 class TestModuleGradients:
     """Finite-difference checks for the remaining differentiable forwards."""
 

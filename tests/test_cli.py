@@ -170,6 +170,16 @@ class TestTrainCommand:
         assert code == 1
         assert "error" in stderr
 
+    @pytest.mark.parametrize("flag", ["--batch-size", "--eval-samples"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_size_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--task", "copy", "--steps", "1"] + TINY_TRAIN + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} must be >= 1, got {value}" in err
+        assert "Traceback" not in err
+
     def test_reverse_task_reaches_ninety_percent(self, capsys):
         # default model at 2000 steps; the acceptance suite covers the
         # full budget, this pins the CLI path end to end
@@ -206,3 +216,5 @@ class TestVerifyCommand:
         assert code == 1
         failed = [l for l in stdout.splitlines() if l.startswith("FAIL")]
         assert any("gradient" in l for l in failed)
+        # the hook also reaches the batched path the training step runs
+        assert any(l.startswith("FAIL gradient_batched_amlp_cov") for l in failed)

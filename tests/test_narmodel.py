@@ -16,7 +16,14 @@ from attentive_mlp.narmodel import (
     save_checkpoint,
     train,
 )
-from attentive_mlp.tensor import ContractError, Tensor, finite_difference_check
+from attentive_mlp.tensor import (
+    ContractError,
+    Tape,
+    Tensor,
+    backward,
+    cross_entropy,
+    finite_difference_check,
+)
 
 TINY = NarConfig(vocab_size=7, seq_len=4, source_len=4, d_model=8, heads=2, c=2, seed=0)
 
@@ -135,6 +142,48 @@ class TestTrainStep:
         assert not bad, bad
 
 
+class TestBatchedTape:
+    """One tape over a (B, n) batch against B single-sample tapes."""
+
+    @pytest.mark.parametrize("variant", ["cov", "pquery", "softmax"])
+    def test_loss_and_gradients_match_per_sample_tapes(self, variant):
+        cfg = NarConfig(vocab_size=7, seq_len=4, source_len=4, d_model=8, heads=2, c=2, variant=variant)
+        model = NarModel(cfg)
+        batch = SyntheticTask("reverse", vocab=7, length=4, seed=4).sample(5, split="train")
+        loss, grads = model.loss_and_grads(batch)
+
+        losses, summed = [], {k: np.zeros_like(v) for k, v in model.params.items()}
+        for source, target in batch:
+            tape = Tape()
+            p = {k: tape.leaf(Tensor(v), requires_grad=True) for k, v in model.params.items()}
+            sample_loss = cross_entropy(model._forward(source, p), target)
+            backward(tape, sample_loss)
+            losses.append(sample_loss.item())
+            for k in summed:
+                summed[k] += p[k].grad.data
+        assert abs(loss - np.mean(losses)) <= 1e-12 * abs(loss)
+        assert set(grads) == set(model.params)
+        for k, total in summed.items():
+            want = total / len(batch)
+            assert np.abs(grads[k] - want).max() <= 1e-12 * np.abs(want).max(), k
+
+    def test_batched_forward_matches_per_source(self):
+        model = NarModel(TINY)
+        sources = np.array([[0, 1, 2, 3], [6, 5, 4, 3], [1, 1, 1, 1]])
+        logits = model.forward(sources)
+        assert logits.shape == (3, TINY.seq_len, TINY.vocab_size)
+        for b, src in enumerate(sources):
+            np.testing.assert_allclose(logits.data[b], model.forward(src).data, rtol=0, atol=1e-13)
+
+    def test_ragged_batch_rejected(self):
+        with pytest.raises(InputError):
+            NarModel(TINY).train_step([(np.arange(4), np.arange(4)), (np.arange(3), np.arange(3))])
+
+    def test_empty_source_batch_rejected(self):
+        with pytest.raises(InputError):
+            NarModel(TINY).forward(np.zeros((0, 4), dtype=np.int64))
+
+
 class TestGenerate:
     def test_output_length(self):
         model = NarModel(TINY)
@@ -145,6 +194,13 @@ class TestGenerate:
         src = [3, 1, 0, 6]
         np.testing.assert_array_equal(
             model.generate(src), np.argmax(model.forward(src).data, axis=1)
+        )
+
+    def test_batch_matches_per_source(self):
+        model = NarModel(TINY)
+        sources = np.array([[3, 1, 0, 6], [2, 2, 5, 4]])
+        np.testing.assert_array_equal(
+            model.generate(sources), [model.generate(src) for src in sources]
         )
 
     def test_ties_pick_lower_token_id(self):

@@ -320,6 +320,79 @@ class TestOpGradients:
         assert all(r.passed for r in reports), [(r.index, r.max_rel_err) for r in reports]
 
 
+# Rank-3 cases: (op, operand shapes, probe shape).  "param" cases pair a
+# rank-2 operand with a rank-3 one, so the rank-2 gradient sums over the batch.
+BATCHED_CASES = {
+    "matmul": (matmul, [(2, 5, 4), (2, 4, 3)], (2, 5, 3)),
+    "matmul_param_right": (matmul, [(2, 5, 4), (4, 3)], (2, 5, 3)),
+    "matmul_param_left": (matmul, [(3, 4), (2, 4, 5)], (2, 3, 5)),
+    "transpose": (transpose, [(2, 4, 5)], (2, 5, 4)),
+    "add": (add, [(2, 4, 4), (2, 4, 4)], (2, 4, 4)),
+    "add_param": (add, [(4, 3), (2, 4, 3)], (2, 4, 3)),
+    "sub_param": (sub, [(2, 4, 3), (4, 3)], (2, 4, 3)),
+    "mul_param": (mul, [(2, 4, 3), (4, 3)], (2, 4, 3)),
+    "add_bias": (add_bias, [(2, 4, 3), (3,)], (2, 4, 3)),
+    "softmax": (softmax, [(2, 5, 7)], (2, 5, 7)),
+    "concat_cols": (lambda a, b: concat(a, b, axis=1), [(2, 3, 4), (2, 3, 2)], (2, 3, 6)),
+    "concat_rows": (lambda a, b: concat(a, b, axis=0), [(2, 3, 4), (2, 2, 4)], (2, 5, 4)),
+    "concat_param": (lambda a, b: concat(a, b, axis=1), [(3, 4), (2, 3, 2)], (2, 3, 6)),
+    "slice_cols": (lambda a: slice_cols(a, 1, 4), [(2, 4, 6)], (2, 4, 3)),
+    "ema": (lambda a: ema(a, 0.6), [(2, 6, 3)], (2, 6, 3)),
+    "layer_norm": (layer_norm, [(2, 4, 5), (5,), (5,)], (2, 4, 5)),
+    "gather_rows": (lambda t: gather_rows(t, [[0, 2, 2, 1], [4, 3, 0, 0]]), [(5, 3)], (2, 4, 3)),
+}
+
+
+class TestBatchedOpGradients:
+    """Rank-3 operands, and rank-2 operands shared across a batch, against finite differences."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHED_CASES))
+    def test_matches_finite_differences(self, name):
+        rng = np.random.default_rng(sum(name.encode()))
+        op, shapes, probe_shape = BATCHED_CASES[name]
+        f, params = _probed(rng, op, *shapes, probe_shape=probe_shape)
+        reports = finite_difference_check(f, [Tensor(p) for p in params], h=1e-4, tol=1e-4)
+        assert all(r.passed for r in reports), [(r.index, r.max_rel_err) for r in reports]
+
+    def test_cross_entropy_means_over_every_position(self):
+        rng = np.random.default_rng(17)
+        logits = rng.standard_normal((2, 3, 4))
+        targets = [[1, 0, 3], [2, 2, 0]]
+        reports = finite_difference_check(
+            lambda l: cross_entropy(l, targets), [Tensor(logits)], h=1e-4, tol=1e-4
+        )
+        assert reports[0].passed, reports[0].max_rel_err
+        per_sample = [cross_entropy(Tensor(logits[b]), targets[b]).item() for b in range(2)]
+        batched = cross_entropy(Tensor(logits), targets).item()
+        assert abs(batched - np.mean(per_sample)) <= 1e-15 * abs(batched)
+
+    def test_batch_entries_computed_independently(self):
+        rng = np.random.default_rng(23)
+        a, w = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 2))
+        out = layer_norm(softmax(matmul(Tensor(a), Tensor(w))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        for b in range(3):
+            alone = layer_norm(softmax(matmul(Tensor(a[b]), Tensor(w))), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+            np.testing.assert_allclose(out.data[b], alone.data, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            matmul,
+            add,
+            mul,
+            lambda a, b: concat(a, b, axis=1),
+        ],
+        ids=["matmul", "add", "mul", "concat"],
+    )
+    def test_mismatched_batch_extents_rejected(self, op):
+        with pytest.raises(DimensionError):
+            op(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((3, 3, 3))))
+
+    def test_broadcast_needs_matching_trailing_shape(self):
+        with pytest.raises(DimensionError):
+            add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 3))))
+
+
 class TestFiniteDifferenceCheck:
     def test_square_at_three(self):
         def f(x):
@@ -348,6 +421,29 @@ class TestFiniteDifferenceCheck:
         try:
             reports = finite_difference_check(
                 f, [Tensor(np.random.default_rng(0).standard_normal((3, 3)))]
+            )
+        finally:
+            T._MATMUL_GRAD_SCALE = old
+        assert not reports[0].passed
+
+    @pytest.mark.parametrize(
+        "a_shape, b",
+        [((2, 3, 3), np.eye(3)), ((3, 3), np.stack([np.eye(3)] * 2))],
+        ids=["batched", "shared"],
+    )
+    def test_flags_wrong_batched_gradient(self, a_shape, b):
+        # the gradient-break hook reaches rank-3 and batch-shared matmul operands too
+        from attentive_mlp import tensor as T
+
+        def f(a):
+            out = matmul(a, Tensor(b))
+            return sum_all(mul(out, Tensor(np.ones(out.shape))))
+
+        old = T._MATMUL_GRAD_SCALE
+        T._MATMUL_GRAD_SCALE = 1.01
+        try:
+            reports = finite_difference_check(
+                f, [Tensor(np.random.default_rng(0).standard_normal(a_shape))]
             )
         finally:
             T._MATMUL_GRAD_SCALE = old
