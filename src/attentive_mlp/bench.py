@@ -173,8 +173,15 @@ def nar_softmax_kernel(q, k, v):
     return logits @ v
 
 
-def nar_amlp_kernel(q, k, v, c_q, c_k, sigma1):
-    """One covariance-variant adaptive-MLP forward over (B, n, dh) operands."""
+def nar_amlp_kernel(q, k, v, c_q, c_k, sigma1, out=None):
+    """One covariance-variant adaptive-MLP forward over (B, n, dh) operands.
+
+    ``out``, if given, is a pair of buffers shaped (B, n, c) and (B, n, dh)
+    that receive the two n-row products.  Reusing them across timed runs
+    keeps first-touch page faults, whose count follows allocator history
+    rather than c, out of the measured latency.
+    """
+    hidden_buf, result_buf = (None, None) if out is None else out
     qt = q.transpose(0, 2, 1)
     kt = k.transpose(0, 2, 1)
     cov_q = _softmax_inplace(qt @ q)
@@ -182,12 +189,12 @@ def nar_amlp_kernel(q, k, v, c_q, c_k, sigma1):
     cross = _softmax_inplace(kt @ v)
     lt = c_q @ cov_q + c_k @ cov_k
     w_qkv = lt @ cross
-    hidden = q @ lt.transpose(0, 2, 1)
+    hidden = np.matmul(q, lt.transpose(0, 2, 1), out=hidden_buf)
     if sigma1 == "softmax":
         _softmax_inplace(hidden)
     elif sigma1 == "relu":
         np.maximum(hidden, 0.0, out=hidden)
-    return hidden @ w_qkv
+    return np.matmul(hidden, w_qkv, out=result_buf)
 
 
 def ar_causal_step(q_t, k_cache, v_cache, t):
@@ -226,7 +233,8 @@ def _make_inputs(config: BenchConfig, arch: str, n: int):
     if arch == "nar-amlp":
         c_q = rng.standard_normal((config.c, dh)) * dh**-0.5
         c_k = rng.standard_normal((config.c, dh)) * dh**-0.5
-        return (q, k, v, c_q, c_k, config.sigma1)
+        out = (np.empty((b, n, config.c)), np.empty((b, n, dh)))
+        return (q, k, v, c_q, c_k, config.sigma1, out)
     return (q, k, v)
 
 
@@ -236,6 +244,24 @@ def _run_once(arch: str, args):
     if arch == "nar-amlp":
         return nar_amlp_kernel(*args)
     return ar_causal_kernel(*args)
+
+
+def _time_interleaved(arch: str, cells, runs: int, warmup: int) -> list[list[float]]:
+    """Warm up every cell, then time `runs` rounds that run each cell once.
+
+    Cells compared with each other are timed in turn, round by round, so a
+    drift in host speed lands on all of them alike.
+    """
+    for args in cells:
+        for _ in range(warmup):
+            _run_once(arch, args)
+    samples = [[] for _ in cells]
+    for _ in range(runs):
+        for args, cell_samples in zip(cells, samples):
+            t0 = time.perf_counter()
+            _run_once(arch, args)
+            cell_samples.append(time.perf_counter() - t0)
+    return samples
 
 
 def _available_memory_bytes() -> int | None:
@@ -313,13 +339,7 @@ def time_architecture(arch: str, n: int, config: BenchConfig) -> BenchRecord:
         return infeasible
     try:
         args = _make_inputs(config, arch, n)
-        for _ in range(config.warmup):
-            _run_once(arch, args)
-        samples = []
-        for _ in range(config.runs):
-            t0 = time.perf_counter()
-            _run_once(arch, args)
-            samples.append(time.perf_counter() - t0)
+        (samples,) = _time_interleaved(arch, [args], config.runs, config.warmup)
     except MemoryError:
         return infeasible
     kept, mean = iqr_filter(samples)
@@ -469,12 +489,18 @@ def _train_toy_accuracy(c: int, cfg: SweepConfig) -> float:
 
 
 def sweep_inner_dimension(cs, config: SweepConfig) -> list[SweepRow]:
-    """For each inner dimension c: adaptive-forward latency plus toy-task accuracy."""
+    """For each inner dimension c: adaptive-forward latency plus toy-task accuracy.
+
+    The latency cells are timed round by round against each other (see
+    `_time_interleaved`), so their ratios do not depend on when each ran.
+    """
     dh = config.d_model // config.heads
     for c in cs:
         if not (1 <= c <= dh):
             raise ConfigError(f"inner dimension {c} exceeds the per-head width {dh}")
-    rows = []
+    avail = _available_memory_bytes()
+    need = 0
+    cells = []
     for c in cs:
         bench = BenchConfig(
             lengths=(config.n,),
@@ -488,11 +514,16 @@ def sweep_inner_dimension(cs, config: SweepConfig) -> list[SweepRow]:
             seed=config.seed,
             warmup=config.warmup,
         )
-        record = time_architecture("nar-amlp", config.n, bench)
-        if not record.feasible:
+        need += _workload_bytes(bench, "nar-amlp", config.n)
+        if avail is not None and need * _MEM_SAFETY > avail:
             raise MemoryError(f"sweep cell c={c} does not fit in memory")
-        accuracy = _train_toy_accuracy(c, config)
-        rows.append(SweepRow(c=c, mean_latency_s=record.mean_latency_s, accuracy=accuracy))
+        cells.append(_make_inputs(bench, "nar-amlp", config.n))
+    samples = _time_interleaved("nar-amlp", cells, config.runs, config.warmup)
+    del cells
+    rows = []
+    for c, cell_samples in zip(cs, samples):
+        _, mean = iqr_filter(cell_samples)
+        rows.append(SweepRow(c=c, mean_latency_s=mean, accuracy=_train_toy_accuracy(c, config)))
     return rows
 
 
