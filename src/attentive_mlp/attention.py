@@ -25,6 +25,7 @@ from .tensor import (
     DimensionError,
     Tensor,
     Var,
+    _softmax_last,
     add,
     concat,
     ema,
@@ -397,11 +398,6 @@ def causal_amlp_cov_init(d: int) -> CausalCovState:
     return CausalCovState(s_q=zero, s_k=zero, z=zero, t=0)
 
 
-def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def causal_amlp_cov_step(
     state: CausalCovState, q_t, k_t, v_t, params: AmlpCovParams
 ) -> tuple[Tensor, CausalCovState]:
@@ -428,11 +424,11 @@ def causal_amlp_cov_step(
     )
 
     cq, ck = _data(params.c_q), _data(params.c_k)
-    lt = cq @ _softmax_rows(s_q) + ck @ _softmax_rows(s_k)
-    w_qkv = lt @ _softmax_rows(z)
+    lt = cq @ _softmax_last(s_q) + ck @ _softmax_last(s_k)
+    w_qkv = lt @ _softmax_last(z)
     hidden = qv @ lt.T
     if params.sigma1 == "softmax":
-        hidden = _softmax_rows(hidden)
+        hidden = _softmax_last(hidden)
     elif params.sigma1 == "relu":
         hidden = np.maximum(hidden, 0.0)
     out = hidden @ w_qkv
@@ -498,7 +494,7 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
     k = matmul(x_source, params.w_k)
     v = matmul(x_source, params.w_v)
     dh = d_model // params.heads
-    merged = None
+    outs = []
     for i in range(params.heads):
         lo, hi = i * dh, (i + 1) * dh
         head_in = AttentionInputs(
@@ -510,5 +506,6 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
             out = amlp_cov_forward(head_in, params.head_params[i])
         else:
             out = amlp_pquery_forward(head_in, params.head_params[i])
-        merged = out if merged is None else concat(merged, out, axis=1)
+        outs.append(out)
+    merged = concat(*outs, axis=1) if len(outs) > 1 else outs[0]
     return matmul(merged, params.w_o)

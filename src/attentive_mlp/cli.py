@@ -1,4 +1,4 @@
-"""Command-line driver: benchmark runs, toy-model training, self-verification.
+"""Command-line interface: benchmarks, toy-model training and evaluation, self-verification.
 
 Settings come from a plain key=value config file (# comments allowed),
 overridden by flags.  Every run echoes its effective configuration and seed
@@ -27,6 +27,7 @@ from .narmodel import (
     NarModel,
     SyntheticTask,
     evaluate,
+    load_checkpoint,
     save_checkpoint,
 )
 from .tensor import ContractError
@@ -85,6 +86,13 @@ _TRAIN_SCHEMA = {
     "beta": (float, 0.5),
     "eval_samples": (int, 256),
     "seed": (int, 0),
+}
+
+_EVAL_SCHEMA = {
+    "ckpt": (str, None),
+    "task": (str, "reverse"),
+    "eval_samples": (int, 256),
+    "seed": (int, None),
 }
 
 _VERIFY_SCHEMA = {
@@ -239,6 +247,31 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
+def _cmd_eval(args, parser) -> int:
+    s = _effective(args, _EVAL_SCHEMA, parser)
+    if s["ckpt"] is None:
+        parser.error("eval needs --ckpt")
+    if s["eval_samples"] < 1:
+        parser.error(f"eval_samples must be >= 1, got {s['eval_samples']}")
+    try:
+        model = load_checkpoint(s["ckpt"])
+    except ContractError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    cfg = model.config
+    if s["seed"] is None:
+        s["seed"] = cfg.seed  # the split `train` evaluates on
+    _echo_config("eval", s)
+    try:
+        task = SyntheticTask(s["task"], vocab=cfg.vocab_size, length=cfg.seq_len, seed=s["seed"] + 1)
+        accuracy = evaluate(model, task, s["eval_samples"])
+    except (ConfigError, InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(f"accuracy {accuracy:.4f}")
+    return 0
+
+
 def _cmd_verify(args, parser) -> int:
     s = _effective(args, _VERIFY_SCHEMA, parser)
     _echo_config("verify", s)
@@ -311,6 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--beta", type=float)
     t.add_argument("--eval-samples", dest="eval_samples", type=int)
     t.set_defaults(func=_cmd_train)
+
+    e = subs.add_parser("eval", help="evaluate a saved checkpoint on the toy task")
+    _add_common(e)
+    e.add_argument("--ckpt", help="checkpoint path to read")
+    e.add_argument("--task", choices=("copy", "reverse"))
+    e.add_argument("--eval-samples", dest="eval_samples", type=int)
+    e.set_defaults(func=_cmd_eval)
 
     v = subs.add_parser("verify", help="run the fast property suite")
     _add_common(v)

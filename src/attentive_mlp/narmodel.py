@@ -321,25 +321,42 @@ def save_checkpoint(model: NarModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> NarModel:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    """Rebuild a model from a file written by ``save_checkpoint``.
+
+    Malformed content (a truncated file, a short ``param`` line, bad hex, a
+    shape or config that does not fit, non-finite values) raises
+    ContractError; a file that cannot be opened raises OSError.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ContractError(f"checkpoint is not ascii text: {path}") from None
     if not lines or lines[0] != f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}":
         raise ContractError(f"not a v{CHECKPOINT_VERSION} checkpoint: {path}")
-    if not lines[1].startswith("config "):
+    if len(lines) < 2 or not lines[1].startswith("config "):
         raise ContractError(f"missing config line in {path}")
-    config = NarConfig(**json.loads(lines[1][len("config ") :]))
-    model = NarModel(config)
+    try:
+        model = NarModel(NarConfig(**json.loads(lines[1][len("config ") :])))
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"bad config in {path}: {exc}") from None
     seen = set()
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], 3):
         if not line:
             continue
-        kind, name, dims, payload = line.split(" ", 3)
-        if kind != "param":
-            raise ContractError(f"unexpected line kind {kind!r} in {path}")
-        shape = tuple(int(s) for s in dims.split(",")) if dims else ()
-        arr = np.frombuffer(bytes.fromhex(payload), dtype="<f8").reshape(shape).copy()
+        fields = line.split(" ", 3)
+        if len(fields) != 4 or fields[0] != "param":
+            raise ContractError(f"{path}:{lineno}: expected 'param <name> <dims> <hex>'")
+        _, name, dims, payload = fields
+        try:
+            shape = tuple(int(s) for s in dims.split(",")) if dims else ()
+            arr = np.frombuffer(bytes.fromhex(payload), dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:
+            raise ContractError(f"{path}:{lineno}: bad payload for {name!r}: {exc}") from None
         if name not in model.params or model.params[name].shape != arr.shape:
             raise ContractError(f"checkpoint param {name!r} does not fit the config")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"checkpoint param {name!r} holds NaN or Inf")
         model.params[name] = arr
         seen.add(name)
     if seen != set(model.params):

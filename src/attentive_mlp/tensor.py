@@ -10,10 +10,18 @@ the last two axes, and every batch entry is computed independently.  In a
 binary op a rank-2 operand may meet a rank-3 one (a parameter applied to a
 batch of activations); it is shared by every batch entry, and its gradient is
 the sum over the batch.
+
+``transpose`` and ``slice_cols`` return read-only views of their operand, not
+copies: numpy hands transposed and strided operands straight to BLAS, so
+nothing is copied until an op has to compute.  ``concat`` joins any number
+of operands in one copy.  A Tape holds its Vars only until ``backward`` has
+assigned their gradients; after that the graph is freed by reference
+counting as soon as the caller drops its Vars.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -78,10 +86,14 @@ class Tensor:
         self.data = arr
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        """Adopt a freshly computed float64 array without copying."""
+    def _wrap(cls, arr: np.ndarray, finite: bool = False) -> "Tensor":
+        """Adopt a freshly computed float64 array without copying.
+
+        ``finite`` says the elements are already known to be finite, so only
+        the dtype, rank and extents are checked.
+        """
         obj = object.__new__(cls)
-        _check_array(arr)
+        _check_array(arr, finite)
         arr.setflags(write=False)
         obj.data = arr
         return obj
@@ -106,13 +118,18 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _check_array(arr: np.ndarray) -> None:
+def _check_array(arr: np.ndarray, finite: bool = False) -> None:
     if arr.dtype != np.float64:
         raise ContractError(f"expected float64 data, got {arr.dtype}")
     if arr.ndim > 3:
         raise DimensionError(f"rank {arr.ndim} exceeds 3 (shape {arr.shape})")
     if arr.ndim > 0 and min(arr.shape) < 1:
         raise DimensionError(f"extents must be positive, got shape {arr.shape}")
+    # Ops that only rearrange already-checked elements (transpose, slice_cols,
+    # concat) pass finite=True: their output is finite by construction, and the
+    # sum over a strided view costs as much as the copy the view avoids.
+    if finite:
+        return
     # a single reduction: any NaN/Inf element makes the sum non-finite
     if not math.isfinite(float(arr.sum())):
         if not np.isfinite(arr).all():
@@ -170,7 +187,10 @@ class Tape:
     """Recorded computation graph in topological order.
 
     Build once, backward once.  A Tape and its Vars belong to one logical
-    thread; distinct Tapes may be used concurrently.
+    thread; distinct Tapes may be used concurrently.  ``backward`` drops the
+    tape's list of Vars, which is the only reference from the tape back to
+    them, so a spent tape is freed by reference counting as soon as the
+    caller's Vars go; ``len`` still reports the recorded node count.
     """
 
     def __init__(self) -> None:
@@ -190,13 +210,13 @@ class Tape:
         self._vars.append(v)
         return v
 
-    def _record(self, out: np.ndarray, inputs: Sequence[Var], bw: Callable) -> Var:
+    def _record(self, out: Tensor, inputs: Sequence[Var], bw: Callable) -> Var:
         requires = any(v.requires_grad for v in inputs)
         node_id = len(self._nodes)
         self._nodes.append(
             _Node(inputs=tuple(v.node_id for v in inputs), backward=bw, requires=requires)
         )
-        v = Var(Tensor._wrap(out), node_id, requires, self)
+        v = Var(out, node_id, requires, self)
         self._vars.append(v)
         return v
 
@@ -220,13 +240,18 @@ def _val(x) -> np.ndarray:
     return _as_tensor(x).data
 
 
-def _dispatch(out: np.ndarray, operands: tuple, make_bw: Callable):
-    """Return a Tensor, or record a Var if any operand lives on a tape."""
+def _dispatch(out: np.ndarray, operands: tuple, make_bw: Callable, rearranged: bool = False):
+    """Return a Tensor, or record a Var if any operand lives on a tape.
+
+    ``rearranged`` marks an output whose elements are all elements of the
+    (already checked) operands, so it needs no finiteness check.
+    """
     tape = _tape_of(*operands)
+    wrapped = Tensor._wrap(out, finite=rearranged)
     if tape is None:
-        return Tensor._wrap(out)
+        return wrapped
     vs = [_lift(tape, x) for x in operands]
-    return tape._record(out, vs, make_bw())
+    return tape._record(wrapped, vs, make_bw())
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +259,16 @@ def _dispatch(out: np.ndarray, operands: tuple, make_bw: Callable):
 # ---------------------------------------------------------------------------
 
 
-def _check_batch(av, bv, op):
-    """Two operands of a binary matrix op must be rank 2 or 3 and agree on any batch extent."""
-    if av.ndim not in (2, 3) or bv.ndim not in (2, 3):
-        raise DimensionError(f"{op} needs rank-2 or rank-3 operands, got {av.shape} and {bv.shape}")
-    if av.ndim == bv.ndim == 3 and av.shape[0] != bv.shape[0]:
-        raise DimensionError(f"{op} batch extents differ: {av.shape} vs {bv.shape}")
+def _check_batch(op, *vals):
+    """Operands of a matrix op must be rank 2 or 3 and agree on any batch extent."""
+    if any(v.ndim not in (2, 3) for v in vals):
+        raise DimensionError(f"{op} needs rank-2 or rank-3 operands, got {_shapes(vals)}")
+    if len({v.shape[0] for v in vals if v.ndim == 3}) > 1:
+        raise DimensionError(f"{op} batch extents differ: {_shapes(vals)}")
+
+
+def _shapes(vals) -> str:
+    return " and ".join(str(v.shape) for v in vals)
 
 
 def _unbatch(g: np.ndarray, ndim: int) -> np.ndarray:
@@ -250,7 +279,7 @@ def _unbatch(g: np.ndarray, ndim: int) -> np.ndarray:
 def matmul(a, b):
     """Matrix product over the last two axes of rank-2 or rank-3 operands."""
     av, bv = _val(a), _val(b)
-    _check_batch(av, bv, "matmul")
+    _check_batch("matmul", av, bv)
     if av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {av.shape} @ {bv.shape}")
     out = av @ bv
@@ -266,19 +295,12 @@ def matmul(a, b):
 
 
 def transpose(a):
-    """Swap the last two axes of a rank-2 or rank-3 operand."""
+    """Swap the last two axes of a rank-2 or rank-3 operand; returns a read-only view."""
     av = _val(a)
     if av.ndim not in (2, 3):
         raise DimensionError(f"transpose needs a rank-2 or rank-3 operand, got shape {av.shape}")
-    out = np.ascontiguousarray(np.swapaxes(av, -1, -2))
-
-    def make_bw():
-        def bw(g):
-            return (np.ascontiguousarray(np.swapaxes(g, -1, -2)),)
-
-        return bw
-
-    return _dispatch(out, (a,), make_bw)
+    out = np.swapaxes(av, -1, -2)
+    return _dispatch(out, (a,), lambda: lambda g: (np.swapaxes(g, -1, -2),), rearranged=True)
 
 
 def _same_shape(av, bv, op):
@@ -368,46 +390,47 @@ def softmax(x):
     return _dispatch(out, (x,), make_bw)
 
 
-def concat(a, b, axis: int):
-    """Concatenate along axis 0 (rows) or 1 (columns) of each operand's last two axes.
+def concat(*parts, axis: int):
+    """Concatenate any number of operands along axis 0 (rows) or 1 (columns) of their last two axes.
 
-    A rank-2 operand joined to a rank-3 one is repeated for every batch entry.
+    A rank-2 operand joined to rank-3 ones is repeated for every batch entry.
     """
-    av, bv = _val(a), _val(b)
-    _check_batch(av, bv, "concat")
+    if not parts:
+        raise DimensionError("concat needs at least one operand")
+    vals = [_val(p) for p in parts]
+    _check_batch("concat", *vals)
     if axis not in (0, 1):
         raise DimensionError(f"concat axis must be 0 or 1, got {axis}")
     ax, other = axis - 2, -1 - axis  # positions counted from the end
-    if av.shape[other] != bv.shape[other]:
+    if len({v.shape[other] for v in vals}) > 1:
         raise DimensionError(
-            f"concat along axis {axis} needs matching extent on axis {1 - axis}: "
-            f"{av.shape} vs {bv.shape}"
+            f"concat along axis {axis} needs matching extent on axis {1 - axis}: {_shapes(vals)}"
         )
-    parts = [av, bv]
-    if av.ndim != bv.ndim:
-        batch = (av if av.ndim == 3 else bv).shape[0]
-        parts = [np.broadcast_to(v, (batch, *v.shape[-2:])) for v in parts]
-    out = np.concatenate(parts, axis=ax)
-    split = av.shape[ax]
+    ndims = [v.ndim for v in vals]
+    if 2 in ndims and 3 in ndims:
+        batch = vals[ndims.index(3)].shape[0]
+        out = np.concatenate([np.broadcast_to(v, (batch, *v.shape[-2:])) for v in vals], axis=ax)
+    else:
+        out = np.concatenate(vals, axis=ax)
+    splits = list(itertools.accumulate(v.shape[ax] for v in vals[:-1]))
 
     def make_bw():
         def bw(g):
-            ga, gb = np.split(g, [split], axis=ax)
-            return (_unbatch(ga, av.ndim), _unbatch(gb, bv.ndim))
+            return tuple(_unbatch(gp, nd) for gp, nd in zip(np.split(g, splits, axis=ax), ndims))
 
         return bw
 
-    return _dispatch(out, (a, b), make_bw)
+    return _dispatch(out, parts, make_bw, rearranged=True)
 
 
 def slice_cols(x, start: int, stop: int):
-    """Contiguous slice of the last axis of a rank-2 or rank-3 operand."""
+    """Contiguous slice of the last axis of a rank-2 or rank-3 operand; returns a read-only view."""
     xv = _val(x)
     if xv.ndim not in (2, 3):
         raise DimensionError(f"slice_cols needs a rank-2 or rank-3 operand, got shape {xv.shape}")
     if not (0 <= start < stop <= xv.shape[-1]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for shape {xv.shape}")
-    out = xv[..., start:stop].copy()
+    out = xv[..., start:stop]
 
     def make_bw():
         def bw(g):
@@ -417,7 +440,7 @@ def slice_cols(x, start: int, stop: int):
 
         return bw
 
-    return _dispatch(out, (x,), make_bw)
+    return _dispatch(out, (x,), make_bw, rearranged=True)
 
 
 def sum_all(x):
@@ -592,6 +615,9 @@ def backward(tape: Tape, loss: Var) -> None:
             if g is None:
                 g = np.zeros_like(v.tensor.data)
             v._grad = Tensor._wrap(np.asarray(g, dtype=np.float64))
+    # the Vars hold the tape, and this list was the tape's only hold on them:
+    # dropping it lets reference counting free the graph without the cyclic gc
+    tape._vars = []
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,33 @@ class TestCausalCov:
                 )
                 np.testing.assert_allclose(out_t.data[0], prefix.data[t - 1], atol=1e-10)
 
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    def test_step_bit_identical_to_row_softmax_restatement(self, sigma1):
+        # the step's arithmetic, restated with the row softmax it used to
+        # carry as its own helper; the shared softmax must not change a bit
+        def softmax_rows(a):
+            e = np.exp(a - a.max(axis=-1, keepdims=True))
+            return e / e.sum(axis=-1, keepdims=True)
+
+        rng = np.random.default_rng(33)
+        d, c, n = 6, 3, 24
+        params = cov_params(rng, c, d, sigma1=sigma1)
+        cq, ck = params.c_q.data, params.c_k.data
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        state = causal_amlp_cov_init(d)
+        s_q = s_k = z = np.zeros((d, d))
+        for t in range(n):
+            qt, kt, vt = q[t : t + 1], k[t : t + 1], v[t : t + 1]
+            out_t, state = causal_amlp_cov_step(state, Tensor(qt), Tensor(kt), Tensor(vt), params)
+            s_q, s_k, z = s_q + qt.T @ qt, s_k + kt.T @ kt, z + kt.T @ vt
+            lt = cq @ softmax_rows(s_q) + ck @ softmax_rows(s_k)
+            hidden = qt @ lt.T
+            if sigma1 == "softmax":
+                hidden = softmax_rows(hidden)
+            elif sigma1 == "relu":
+                hidden = np.maximum(hidden, 0.0)
+            assert np.array_equal(out_t.data, hidden @ (lt @ softmax_rows(z))), t
+
     def test_width_mismatch(self):
         params = cov_params(np.random.default_rng(31), 2, 4)
         with pytest.raises(DimensionError):

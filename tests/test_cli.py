@@ -191,6 +191,47 @@ class TestTrainCommand:
         assert float(final.split()[-1]) >= 0.90
 
 
+class TestEvalCommand:
+    def test_reproduces_train_accuracy(self, tmp_path, capsys):
+        ckpt = tmp_path / "init.ckpt"
+        _, train_out, _ = run_cli(
+            ["train", "--task", "copy", "--steps", "0", "--seed", "3", "--ckpt", str(ckpt)]
+            + TINY_TRAIN,
+            capsys,
+        )
+        code, stdout, stderr = run_cli(
+            ["eval", "--task", "copy", "--ckpt", str(ckpt), "--eval-samples", "16"], capsys
+        )
+        assert code == 0
+        assert "seed: 3" in stderr
+        assert stdout.split()[-1] == train_out.split()[-1]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda lines: lines[:1],
+            lambda lines: lines[:2] + [" ".join(lines[2].split(" ")[:3])] + lines[3:],
+            lambda lines: lines[:2] + [lines[2][:-2] + "zz"] + lines[3:],
+            lambda lines: [lines[0], lines[1].replace('"beta"', '"bogus": 1, "beta"')] + lines[2:],
+        ],
+        ids=["magic_only", "short_param", "bad_hex", "unknown_key"],
+    )
+    def test_malformed_checkpoint_is_one_line_error(self, tmp_path, capsys, corrupt):
+        ckpt = tmp_path / "m.ckpt"
+        run_cli(["train", "--task", "copy", "--steps", "0", "--ckpt", str(ckpt)] + TINY_TRAIN, capsys)
+        ckpt.write_text("\n".join(corrupt(ckpt.read_text().splitlines())) + "\n")
+        code, stdout, stderr = run_cli(["eval", "--ckpt", str(ckpt)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+
+    def test_missing_ckpt_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval"])
+        assert exc.value.code == 2
+
+
 class TestVerifyCommand:
     def test_fresh_build_all_pass(self, capsys):
         code, stdout, _ = run_cli(["verify"], capsys)

@@ -1,11 +1,16 @@
 """Toy parallel-decoding model: forward contracts, training, checkpoints."""
 
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from attentive_mlp.attention import ConfigError
+from attentive_mlp import narmodel
 from attentive_mlp.narmodel import (
     InputError,
     NarConfig,
@@ -285,6 +290,77 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ContractError):
             load_checkpoint(str(path))
+
+
+class TestCheckpointErrors:
+    """Malformed checkpoint text raises ContractError, never a bare parse error."""
+
+    @pytest.fixture(scope="class")
+    def good_text(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "good.ckpt"
+        save_checkpoint(NarModel(TINY), str(path))
+        return path.read_text()
+
+    def _load(self, tmp_path, text):
+        path = tmp_path / "case.ckpt"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
+        return load_checkpoint(str(path))
+
+    def test_magic_line_only(self, tmp_path, good_text):
+        with pytest.raises(ContractError):
+            self._load(tmp_path, good_text.splitlines()[0] + "\n")
+
+    def test_short_param_line(self, tmp_path, good_text):
+        lines = good_text.splitlines()
+        lines[2] = " ".join(lines[2].split(" ")[:3])
+        with pytest.raises(ContractError):
+            self._load(tmp_path, "\n".join(lines) + "\n")
+
+    def test_bad_hex(self, tmp_path, good_text):
+        lines = good_text.splitlines()
+        lines[2] = lines[2][:-2] + "zz"
+        with pytest.raises(ContractError):
+            self._load(tmp_path, "\n".join(lines) + "\n")
+
+    def test_unknown_config_key(self, tmp_path, good_text):
+        text = good_text.replace('"beta"', '"bogus_key": 1, "beta"', 1)
+        with pytest.raises(ContractError):
+            self._load(tmp_path, text)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_text_loads_or_raises_contract_error(self, tmp_path, good_text, data):
+        raw = bytearray(good_text.encode("ascii"))
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+        else:
+            pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+            raw[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        try:
+            model = self._load(tmp_path, bytes(raw))
+        except ContractError:
+            return
+        assert isinstance(model, NarModel)
+
+
+class TestTapeRelease:
+    def test_train_tape_freed_by_refcount(self, monkeypatch):
+        tapes = []
+
+        def tracked_tape():
+            tape = Tape()
+            tapes.append(weakref.ref(tape))
+            return tape
+
+        monkeypatch.setattr(narmodel, "Tape", tracked_tape)
+        model = NarModel(TINY)
+        batch = SyntheticTask("copy", vocab=7, length=4, seed=0).sample(3, "train")
+        gc.disable()
+        try:
+            model.loss_and_grads(batch)
+            assert len(tapes) == 1 and tapes[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestLossCurves:

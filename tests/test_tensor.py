@@ -70,6 +70,11 @@ class TestTensor:
             Tensor([1.0, float("nan")])
         with pytest.raises(ContractError):
             Tensor([1.0, float("inf")])
+        with pytest.raises(ContractError):
+            Tensor(np.nan)
+        big = Tensor(np.full((2, 2), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(ContractError):
+            matmul(big, big)  # computed outputs are checked too
 
     def test_rejects_empty_extent(self):
         with pytest.raises(DimensionError):
@@ -207,7 +212,9 @@ class TestBackward:
         tape = Tape()
         x = tape.leaf(Tensor(np.ones(3)), requires_grad=True)
         loss = sum_all(x)
+        assert len(tape) == 2
         backward(tape, loss)
+        assert len(tape) == 2  # the node count outlives the released Vars
         with pytest.raises(ContractError):
             backward(tape, loss)
 
@@ -336,6 +343,11 @@ BATCHED_CASES = {
     "concat_cols": (lambda a, b: concat(a, b, axis=1), [(2, 3, 4), (2, 3, 2)], (2, 3, 6)),
     "concat_rows": (lambda a, b: concat(a, b, axis=0), [(2, 3, 4), (2, 2, 4)], (2, 5, 4)),
     "concat_param": (lambda a, b: concat(a, b, axis=1), [(3, 4), (2, 3, 2)], (2, 3, 6)),
+    "concat_three": (
+        lambda a, b, c: concat(a, b, c, axis=1),
+        [(2, 3, 4), (3, 2), (2, 3, 5)],
+        (2, 3, 11),
+    ),
     "slice_cols": (lambda a: slice_cols(a, 1, 4), [(2, 4, 6)], (2, 4, 3)),
     "ema": (lambda a: ema(a, 0.6), [(2, 6, 3)], (2, 6, 3)),
     "layer_norm": (layer_norm, [(2, 4, 5), (5,), (5,)], (2, 4, 5)),
@@ -391,6 +403,36 @@ class TestBatchedOpGradients:
     def test_broadcast_needs_matching_trailing_shape(self):
         with pytest.raises(DimensionError):
             add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 3))))
+
+
+class TestLayoutViews:
+    """transpose and slice_cols hand back read-only views; concat copies."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [transpose, lambda a: slice_cols(a, 1, 3)],
+        ids=["transpose", "slice_cols"],
+    )
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("on_tape", [False, True], ids=["tensor", "var"])
+    def test_view_shares_memory_and_rejects_writes(self, op, shape, on_tape):
+        x = Tensor(np.arange(np.prod(shape), dtype=np.float64).reshape(shape))
+        operand = Tape().leaf(x, requires_grad=True) if on_tape else x
+        out = op(operand)
+        data = out.tensor.data if on_tape else out.data
+        assert np.shares_memory(data, x.data)
+        with pytest.raises(ValueError):
+            data[(0,) * data.ndim] = 1.0
+
+    def test_concat_of_three_joins_in_order(self):
+        parts = [np.full((2, k), float(k)) for k in (1, 2, 3)]
+        out = concat(*(Tensor(p) for p in parts), axis=1)
+        np.testing.assert_array_equal(out.data, np.concatenate(parts, axis=1))
+        assert not any(np.shares_memory(out.data, p) for p in parts)
+
+    def test_concat_of_three_extent_mismatch(self):
+        with pytest.raises(DimensionError):
+            concat(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))), axis=1)
 
 
 class TestFiniteDifferenceCheck:
