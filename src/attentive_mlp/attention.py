@@ -222,52 +222,15 @@ class LowRankFactor:
     dropped_mass: float
 
 
-def _jacobi_eigh(a: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Deterministic: fixed sweep order, convergence when every off-diagonal
-    magnitude drops below 1e-12 times the Frobenius norm of the input.
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
-    """
-    a = np.array(a, dtype=np.float64)
-    d = a.shape[0]
-    v = np.eye(d)
-    if d == 1:
-        return a.reshape(1).copy(), v
-    fro = float(np.sqrt((a * a).sum()))
-    if fro == 0.0:
-        return np.zeros(d), v
-    thresh = 1e-12 * fro
-    for _ in range(max_sweeps):
-        off = np.abs(np.triu(a, 1)).max()
-        if off < thresh:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) < thresh / (d * d):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                colp, colq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                rowp, rowq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rowp - s * rowq
-                a[q, :] = s * rowp + c * rowq
-                colp, colq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * colp - s * colq
-                v[:, q] = s * colp + c * colq
-    return np.diag(a).copy(), v
-
-
 def low_rank_factor(sigma: Tensor, c: int) -> LowRankFactor:
     """Keep the largest c eigenpairs of a symmetric PSD matrix as L = U_c sqrt(L_c).
 
     Eigenvalues in [-1e-9, 0) are clamped to zero; anything more negative is a
-    hard failure.  Ties in magnitude break toward the lower original index.
+    hard failure.  ``numpy.linalg.eigh`` returns the eigenpairs in ascending
+    order and a stable sort puts them in descending order, so equal
+    eigenvalues keep eigh's column order.  When c splits a repeated eigenvalue, which of its
+    eigenvectors are kept is therefore eigh's choice; the approximation error
+    and ``dropped_mass`` do not depend on it.
     """
     sv = _data(sigma)
     if sv.ndim != 2 or sv.shape[0] != sv.shape[1]:
@@ -277,11 +240,11 @@ def low_rank_factor(sigma: Tensor, c: int) -> LowRankFactor:
         raise ConfigError(f"need 1 <= c <= d, got c={c}, d={d}")
     if np.abs(sv - sv.T).max() > 1e-9:
         raise ContractError("matrix is not symmetric within 1e-9")
-    lam, vecs = _jacobi_eigh(sv)
+    lam, vecs = np.linalg.eigh(sv)
     if lam.min() < -1e-9:
         raise NotPsdError(f"negative eigenvalue {lam.min():.3e} below -1e-9")
     lam = np.maximum(lam, 0.0)
-    # descending by eigenvalue, ties by original index
+    # descending by eigenvalue; ties keep eigh's order
     order = np.argsort(-lam, kind="stable")
     kept = order[:c]
     dropped = order[c:]
@@ -405,8 +368,9 @@ def causal_amlp_cov_step(
 
     The accumulated sums make each output equal the corresponding row of the
     non-causal covariance forward applied to the prefix seen so far.  Per-step
-    cost is Theta(c*d^2) (two c x d by d x d products), independent of how many
-    tokens came before.
+    cost is Theta(c*d^2) (three c x d by d x d products: c_q softmax(S_Q),
+    c_k softmax(S_K) and L softmax(z)), independent of how many tokens came
+    before.
     """
     qv, kv, vv = _data(q_t), _data(k_t), _data(v_t)
     d = state.s_q.shape[0]

@@ -14,6 +14,7 @@ written for tight peak memory; tests pin them to the library outputs.
 from __future__ import annotations
 
 import math
+import os
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ConfigError
-from .narmodel import NarConfig, NarModel, SyntheticTask, evaluate
+from .narmodel import NarConfig, NarModel, SyntheticTask, evaluate, train
 from .tensor import ContractError
 
 __all__ = [
@@ -48,6 +49,12 @@ CSV_HEADER = "arch,n,batch,runs,kept,mean_latency_s,modeled_elems,measured_peak_
 
 # extra headroom over the modeled working set before declaring a cell feasible
 _MEM_SAFETY = 1.6
+
+# The first second or so of two-thread BLAS work after the host has been idle
+# runs up to 2.5x slow (a 40 ms softmax cell measured 85-130 ms a run for about
+# 1 s; with one BLAS thread there is no such window), so a warm-up lasts at
+# least this long in addition to its `warmup` rounds.
+_MIN_WARMUP_S = 1.5
 
 
 @dataclass(frozen=True)
@@ -249,12 +256,16 @@ def _run_once(arch: str, args):
 def _time_interleaved(arch: str, cells, runs: int, warmup: int) -> list[list[float]]:
     """Warm up every cell, then time `runs` rounds that run each cell once.
 
-    Cells compared with each other are timed in turn, round by round, so a
-    drift in host speed lands on all of them alike.
+    Warm-up runs every cell `warmup` times, and with warmup > 0 keeps going
+    round the cells until _MIN_WARMUP_S has passed.  Cells compared with each
+    other are timed in turn, round by round, so a drift in host speed lands
+    on all of them alike.
     """
-    for args in cells:
-        for _ in range(warmup):
+    start, rounds = time.perf_counter(), 0
+    while rounds < warmup or (warmup and time.perf_counter() - start < _MIN_WARMUP_S):
+        for args in cells:
             _run_once(arch, args)
+        rounds += 1
     samples = [[] for _ in cells]
     for _ in range(runs):
         for args, cell_samples in zip(cells, samples):
@@ -264,15 +275,36 @@ def _time_interleaved(arch: str, cells, runs: int, warmup: int) -> list[list[flo
     return samples
 
 
-def _available_memory_bytes() -> int | None:
+def _available_memory_bytes(_root: str = "/") -> int | None:
+    """MemAvailable, capped by this process's cgroup-v2 ``memory.max`` when one is set.
+
+    Every path read is taken under `_root`, so tests can supply fake files.
+    """
+    avail = None
     try:
-        with open("/proc/meminfo") as fh:
+        with open(os.path.join(_root, "proc/meminfo")) as fh:
             for line in fh:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    avail = int(line.split()[1]) * 1024
+                    break
     except OSError:
         pass
-    return None
+    known = [v for v in (avail, _cgroup_memory_max(_root)) if v is not None]
+    return min(known) if known else None
+
+
+def _cgroup_memory_max(root: str) -> int | None:
+    """The ``memory.max`` of the cgroup-v2 group named on the ``0::`` line of /proc/self/cgroup."""
+    try:
+        with open(os.path.join(root, "proc/self/cgroup")) as fh:
+            group = next((line[3:].strip() for line in fh if line.startswith("0::")), None)
+        if group is None:
+            return None
+        with open(os.path.join(root, "sys/fs/cgroup", group.lstrip("/"), "memory.max")) as fh:
+            value = fh.read().strip()
+    except OSError:
+        return None
+    return int(value) if value.isdigit() else None  # "max" means no limit
 
 
 def _workload_bytes(config: BenchConfig, arch: str, n: int) -> int:
@@ -477,14 +509,16 @@ def _train_toy_accuracy(c: int, cfg: SweepConfig) -> float:
     )
     model = NarModel(nar)
     task = SyntheticTask(cfg.task_kind, vocab=cfg.vocab, length=cfg.length, seed=cfg.seed + 1)
-    batches = task.stream(cfg.train_batch)
     best = 0.0
-    for step in range(1, cfg.train_steps + 1):
-        model.train_step(next(batches))
+
+    def probe(step, _loss):
+        nonlocal best
         if step % cfg.probe_every == 0:
             best = max(best, evaluate(model, task, cfg.eval_samples))
-            if best >= cfg.stop_accuracy:
-                break
+            return best >= cfg.stop_accuracy
+        return False
+
+    train(model, task, cfg.train_steps, cfg.train_batch, on_step=probe)
     return max(best, evaluate(model, task, cfg.eval_samples))
 
 

@@ -29,6 +29,7 @@ from .narmodel import (
     evaluate,
     load_checkpoint,
     save_checkpoint,
+    train,
 )
 from .tensor import ContractError
 from .verify import run_verification
@@ -231,11 +232,12 @@ def _cmd_train(args, parser) -> int:
         return 2
     model = NarModel(config)
     if s["steps"] > 0:
-        batches = task.stream(s["batch_size"])
-        for step in range(s["steps"]):
-            loss = model.train_step(next(batches))
-            if step % 100 == 0:
-                print(f"step {step} loss {loss:.6f}")
+
+        def log(step, loss):
+            if step % 100 == 1:  # the log numbers steps from 0
+                print(f"step {step - 1} loss {loss:.6f}")
+
+        train(model, task, s["steps"], s["batch_size"], on_step=log)
         accuracy = evaluate(model, task, s["eval_samples"])
         print(f"final accuracy {accuracy:.4f}")
     else:

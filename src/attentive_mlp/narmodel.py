@@ -4,6 +4,10 @@ One encoder block and one decoder block around the configurable attention
 mechanism.  The decoder is driven purely by learned position embeddings, so
 every target position is produced in a single forward pass and ground-truth
 targets only ever enter through the loss.
+
+``train`` is the one training loop: it draws batches from the task's training
+stream and takes SGD steps, and a per-step ``on_step(step, loss)`` hook does
+any logging, probing or early stopping a caller needs.
 """
 
 from __future__ import annotations
@@ -288,17 +292,20 @@ def train(
     task: SyntheticTask,
     steps: int,
     batch_size: int = 8,
-    log_every: int = 100,
-    log=None,
+    on_step=None,
 ) -> list[float]:
-    """Run `steps` SGD steps against the task's training stream; returns the losses."""
+    """Run up to `steps` SGD steps against the task's training stream; returns the losses.
+
+    After each step, ``on_step(step, loss)`` gets the number of steps taken so
+    far (1 for the first) and that step's loss; a truthy return stops training
+    there.
+    """
     losses: list[float] = []
     batches = task.stream(batch_size, split="train")
-    for step in range(steps):
-        loss = model.train_step(next(batches))
-        losses.append(loss)
-        if log is not None and log_every and step % log_every == 0:
-            log(step, loss)
+    for step in range(1, steps + 1):
+        losses.append(model.train_step(next(batches)))
+        if on_step is not None and on_step(step, losses[-1]):
+            break
     return losses
 
 

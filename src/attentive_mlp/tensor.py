@@ -64,11 +64,6 @@ class ContractError(ValueError):
     """An operation precondition was violated."""
 
 
-# Verification hook: `attentive-mlp verify --break-gradients` scales the
-# matmul backward rule by 1.01 to prove the gradient check can fail.
-_MATMUL_GRAD_SCALE = 1.0
-
-
 class Tensor:
     """Immutable dense array of 64-bit floats, rank 0 to 3.
 
@@ -286,8 +281,9 @@ def matmul(a, b):
 
     def make_bw():
         def bw(g):
-            ga = _MATMUL_GRAD_SCALE * (g @ np.swapaxes(bv, -1, -2))
-            return (_unbatch(ga, av.ndim), _unbatch(np.swapaxes(av, -1, -2) @ g, bv.ndim))
+            ga = g @ np.swapaxes(bv, -1, -2)
+            gb = np.swapaxes(av, -1, -2) @ g
+            return (_unbatch(ga, av.ndim), _unbatch(gb, bv.ndim))
 
         return bw
 

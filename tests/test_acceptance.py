@@ -32,6 +32,7 @@ from attentive_mlp.narmodel import (
     evaluate,
     load_checkpoint,
     save_checkpoint,
+    train,
 )
 from attentive_mlp.tensor import (
     Tensor,
@@ -95,15 +96,17 @@ def toy_training():
     def run(variant):
         model = NarModel(NarConfig(variant=variant, learning_rate=0.2, seed=0))
         task = SyntheticTask("reverse", vocab=16, length=12, seed=1)
-        batches = task.stream(8)
         best, steps_used = 0.0, 0
-        for step in range(1, 10001):
-            model.train_step(next(batches))
+
+        def probe(step, _loss):
+            nonlocal best, steps_used
             if step % 250 == 0:
                 acc = evaluate(model, task, 512)
                 best, steps_used = max(best, acc), step
-                if acc >= 0.92:
-                    break
+                return acc >= 0.92
+            return False
+
+        train(model, task, 10000, batch_size=8, on_step=probe)
         return best, steps_used, model
 
     started = time.perf_counter()

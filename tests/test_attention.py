@@ -249,6 +249,17 @@ class TestLowRankFactor:
         norms = (f.l.data**2).sum(axis=0)
         assert np.all(np.diff(norms) <= 1e-12)
 
+    def test_c_boundary_inside_repeated_eigenvalue(self):
+        # c = 2 keeps 3 and one of the two 2s; the other 2 and the 1 are dropped
+        q, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((4, 4)))
+        sigma = q @ np.diag([3.0, 2.0, 2.0, 1.0]) @ q.T
+        f = low_rank_factor(Tensor(sigma), 2)
+        err2 = np.linalg.norm(sigma - f.l.data @ f.l.data.T) ** 2
+        assert abs(err2 - 5.0) <= 1e-8
+        assert abs(f.dropped_mass - 5.0) <= 1e-8
+        norms = (f.l.data**2).sum(axis=0)
+        assert np.all(np.diff(norms) <= 1e-12)
+
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ContractError):

@@ -1,5 +1,7 @@
 """Quartile filtering, the memory model, timed kernels, and reporting."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from attentive_mlp.attention import (
     amlp_cov_forward,
     softmax_attention,
 )
+from attentive_mlp import bench
 from attentive_mlp.bench import (
+    _available_memory_bytes,
     ARCHITECTURES,
     BenchConfig,
     BenchRecord,
@@ -140,6 +144,40 @@ class TestMemoryModel:
         assert long_2h > long_1h
 
 
+class TestAvailableMemory:
+    @staticmethod
+    def _fake_root(tmp_path, memory_max, group):
+        (tmp_path / "proc/self").mkdir(parents=True)
+        (tmp_path / "proc/meminfo").write_text("MemTotal: 8000 kB\nMemAvailable: 4000 kB\n")
+        (tmp_path / "proc/self/cgroup").write_text(f"4:memory:/v1/path\n0::{group}\n")
+        if memory_max is not None:
+            limit_dir = tmp_path / "sys/fs/cgroup" / group.lstrip("/")
+            limit_dir.mkdir(parents=True, exist_ok=True)
+            (limit_dir / "memory.max").write_text(memory_max + "\n")
+        return str(tmp_path)
+
+    @pytest.mark.parametrize(
+        "memory_max, group, expected",
+        [
+            ("1048576", "/jobs/a", 1048576),  # a limit below MemAvailable wins
+            (str(10**12), "/jobs/a", 4000 * 1024),  # one above it does not
+            ("max", "/jobs/a", 4000 * 1024),  # "max" means no limit
+            (None, "/jobs/a", 4000 * 1024),  # no limit file
+            ("2048", "/", 2048),  # the root group
+        ],
+    )
+    def test_cgroup_limit_caps_meminfo(self, tmp_path, memory_max, group, expected):
+        assert _available_memory_bytes(self._fake_root(tmp_path, memory_max, group)) == expected
+
+    def test_limit_without_meminfo(self, tmp_path):
+        root = self._fake_root(tmp_path, "2048", "/jobs/a")
+        (tmp_path / "proc/meminfo").unlink()
+        assert _available_memory_bytes(root) == 2048
+
+    def test_nothing_readable(self, tmp_path):
+        assert _available_memory_bytes(str(tmp_path)) is None
+
+
 class TestFlopAccounting:
     def test_doubling_both_lengths_at_most_doubles(self):
         for n, m in ((256, 256), (300, 512), (1024, 256)):
@@ -223,6 +261,18 @@ class TestTimeArchitecture:
             assert record.measured_peak_bytes is not None
             ratio = record.measured_peak_bytes / (8 * record.modeled_elems)
             assert 0.5 <= ratio <= 2.0, (arch, ratio)
+
+    def test_warmup_lasts_at_least_the_floor(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "_MIN_WARMUP_S", 0.01)
+        monkeypatch.setattr(bench, "_run_once", lambda arch, args: calls.append(time.perf_counter()))
+        start = time.perf_counter()
+        samples = bench._time_interleaved("nar-amlp", ["a", "b"], runs=3, warmup=1)
+        assert [len(s) for s in samples] == [3, 3]
+        assert calls[-6] - start >= 0.01  # the first timed run follows the floor
+        calls.clear()
+        bench._time_interleaved("nar-amlp", ["a", "b"], runs=3, warmup=0)
+        assert len(calls) == 6  # warmup 0 still means no warm-up
 
     def test_modeled_elems_deterministic(self):
         a = time_architecture("nar-amlp", 64, SMALL)

@@ -259,3 +259,6 @@ class TestVerifyCommand:
         assert any("gradient" in l for l in failed)
         # the hook also reaches the batched path the training step runs
         assert any(l.startswith("FAIL gradient_batched_amlp_cov") for l in failed)
+        # every gradient property fails, and only those
+        results = [line.split(":", 1)[0].split() for line in stdout.splitlines()]
+        assert all((status == "FAIL") == name.startswith("gradient_") for status, name in results)

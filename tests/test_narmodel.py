@@ -125,6 +125,22 @@ class TestTrainStep:
         losses = train(model, task, steps=120, batch_size=4)
         assert np.median(losses[-20:]) < np.median(losses[:20])
 
+    def test_on_step_stops_after_step_k(self):
+        cfg = NarConfig(vocab_size=7, seq_len=4, source_len=4, d_model=8, heads=2, c=2, learning_rate=0.2)
+        task = SyntheticTask("copy", vocab=7, length=4, seed=1)
+        seen = []
+
+        def stop_at_5(step, loss):
+            seen.append((step, loss))
+            return step == 5
+
+        losses = train(NarModel(cfg), task, steps=50, batch_size=4, on_step=stop_at_5)
+        manual = NarModel(cfg)
+        batches = task.stream(4)
+        expected = [manual.train_step(next(batches)) for _ in range(5)]
+        assert losses == expected
+        assert seen == list(zip(range(1, 6), expected))
+
     @pytest.mark.parametrize("variant", ["cov", "pquery", "softmax"])
     def test_gradients_match_finite_differences(self, variant):
         cfg = NarConfig(
