@@ -71,10 +71,6 @@ class NotPsdError(ContractError):
     """A matrix required to be positive semi-definite has negative spectrum."""
 
 
-def _shape(x) -> tuple[int, ...]:
-    return x.shape
-
-
 def _data(x) -> np.ndarray:
     return x.tensor.data if isinstance(x, Var) else x.data
 
@@ -92,7 +88,7 @@ class AttentionInputs:
     v: object
 
     def __post_init__(self):
-        shapes = qs, ks, vs = _shape(self.q), _shape(self.k), _shape(self.v)
+        shapes = qs, ks, vs = self.q.shape, self.k.shape, self.v.shape
         if any(len(s) not in (2, 3) for s in shapes):
             raise DimensionError(f"inputs must be rank 2 or 3, got {qs}, {ks}, {vs}")
         if len({s[0] for s in shapes if len(s) == 3}) > 1:
@@ -104,15 +100,15 @@ class AttentionInputs:
 
     @property
     def n(self) -> int:
-        return _shape(self.q)[-2]
+        return self.q.shape[-2]
 
     @property
     def m(self) -> int:
-        return _shape(self.k)[-2]
+        return self.k.shape[-2]
 
     @property
     def d(self) -> int:
-        return _shape(self.q)[-1]
+        return self.q.shape[-1]
 
 
 def _check_sigma1(name: str) -> str:
@@ -130,7 +126,7 @@ class AmlpCovParams:
     sigma1: str = "softmax"
 
     def __post_init__(self):
-        cq, ck = _shape(self.c_q), _shape(self.c_k)
+        cq, ck = self.c_q.shape, self.c_k.shape
         if len(cq) != 2 or cq != ck:
             raise DimensionError(f"c_q and c_k must both be c x d, got {cq} and {ck}")
         if not (1 <= cq[0] <= cq[1]):
@@ -139,11 +135,11 @@ class AmlpCovParams:
 
     @property
     def c(self) -> int:
-        return _shape(self.c_q)[0]
+        return self.c_q.shape[0]
 
     @property
     def d(self) -> int:
-        return _shape(self.c_q)[1]
+        return self.c_q.shape[1]
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ class AmlpPQueryParams:
     sigma1: str = "softmax"
 
     def __post_init__(self):
-        cq, ck, w = _shape(self.c_q), _shape(self.c_k), _shape(self.w)
+        cq, ck, w = self.c_q.shape, self.c_k.shape, self.w.shape
         if len(cq) != 2 or cq != ck:
             raise DimensionError(f"c_q and c_k must both be c x d, got {cq} and {ck}")
         d = cq[1]
@@ -169,11 +165,11 @@ class AmlpPQueryParams:
 
     @property
     def c(self) -> int:
-        return _shape(self.c_q)[0]
+        return self.c_q.shape[0]
 
     @property
     def d(self) -> int:
-        return _shape(self.c_q)[1]
+        return self.c_q.shape[1]
 
 
 def _apply_sigma1(h, kind: str):
@@ -426,10 +422,10 @@ class MultiHeadParams:
     def __post_init__(self):
         if self.mechanism not in ("softmax", "cov", "pquery"):
             raise ConfigError(f"unknown mechanism {self.mechanism!r}")
-        d_model = _shape(self.w_q)[0]
+        d_model = self.w_q.shape[0]
         for name, w in (("w_q", self.w_q), ("w_k", self.w_k), ("w_v", self.w_v), ("w_o", self.w_o)):
-            if _shape(w) != (d_model, d_model):
-                raise DimensionError(f"{name} must be {d_model} square, got {_shape(w)}")
+            if w.shape != (d_model, d_model):
+                raise DimensionError(f"{name} must be {d_model} square, got {w.shape}")
         if self.heads < 1 or d_model % self.heads != 0:
             raise ConfigError(f"heads={self.heads} must divide d_model={d_model}")
         if self.mechanism != "softmax" and len(self.head_params) != self.heads:
@@ -439,7 +435,7 @@ class MultiHeadParams:
 
     @property
     def d_model(self) -> int:
-        return _shape(self.w_q)[0]
+        return self.w_q.shape[0]
 
 
 def multi_head_forward(x_target, x_source, params: MultiHeadParams):
@@ -450,9 +446,9 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
     Either input may carry a leading batch axis, which the output keeps.
     """
     d_model = params.d_model
-    if _shape(x_target)[-1] != d_model or _shape(x_source)[-1] != d_model:
+    if x_target.shape[-1] != d_model or x_source.shape[-1] != d_model:
         raise DimensionError(
-            f"inputs must have width {d_model}, got {_shape(x_target)} and {_shape(x_source)}"
+            f"inputs must have width {d_model}, got {x_target.shape} and {x_source.shape}"
         )
     q = matmul(x_target, params.w_q)
     k = matmul(x_source, params.w_k)

@@ -7,8 +7,9 @@ Latencies are quartile-filtered means over repeated runs on a monotonic
 clock; memory is both modeled analytically (element counts, formulas in the
 README) and measured with tracemalloc where the platform allows.
 
-The timed kernels here are plain-numpy restatements of the library forwards,
-written for tight peak memory; tests pin them to the library outputs.
+Each cell times the library forward itself, with no tape: ``softmax_attention``,
+``amlp_cov_forward``, and a decode loop that runs ``softmax_attention`` on one
+query row against the cache prefix.
 """
 
 from __future__ import annotations
@@ -21,9 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ConfigError
+from .attention import (
+    AmlpCovParams,
+    AttentionInputs,
+    ConfigError,
+    amlp_cov_forward,
+    softmax_attention,
+)
 from .narmodel import NarConfig, NarModel, SyntheticTask, evaluate, train
-from .tensor import ContractError
+from .tensor import ContractError, Tensor
 
 __all__ = [
     "ARCHITECTURES",
@@ -160,97 +167,56 @@ def fit_loglog_slope(ns, ts) -> float:
 
 
 # ---------------------------------------------------------------------------
-# timed kernels (plain numpy, peak-memory tight)
+# measurement
 # ---------------------------------------------------------------------------
 
 
-def _softmax_inplace(a: np.ndarray) -> np.ndarray:
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
-    return a
+def ar_causal_decode(inputs: AttentionInputs) -> np.ndarray:
+    """n sequential causal steps; each step re-attends over the whole prefix.
 
-
-def nar_softmax_kernel(q, k, v):
-    """One full scaled softmax attention over (B, n, dh) operands."""
-    inv = 1.0 / math.sqrt(q.shape[2])
-    logits = q @ k.transpose(0, 2, 1)
-    logits *= inv
-    _softmax_inplace(logits)
-    return logits @ v
-
-
-def nar_amlp_kernel(q, k, v, c_q, c_k, sigma1, out=None):
-    """One covariance-variant adaptive-MLP forward over (B, n, dh) operands.
-
-    ``out``, if given, is a pair of buffers shaped (B, n, c) and (B, n, dh)
-    that receive the two n-row products.  Reusing them across timed runs
-    keeps first-touch page faults, whose count follows allocator history
-    rather than c, out of the measured latency.
+    The prefix views skip the finiteness check: the whole cache was checked
+    when it was wrapped.
     """
-    hidden_buf, result_buf = (None, None) if out is None else out
-    qt = q.transpose(0, 2, 1)
-    kt = k.transpose(0, 2, 1)
-    cov_q = _softmax_inplace(qt @ q)
-    cov_k = _softmax_inplace(kt @ k)
-    cross = _softmax_inplace(kt @ v)
-    lt = c_q @ cov_q + c_k @ cov_k
-    w_qkv = lt @ cross
-    hidden = np.matmul(q, lt.transpose(0, 2, 1), out=hidden_buf)
-    if sigma1 == "softmax":
-        _softmax_inplace(hidden)
-    elif sigma1 == "relu":
-        np.maximum(hidden, 0.0, out=hidden)
-    return np.matmul(hidden, w_qkv, out=result_buf)
-
-
-def ar_causal_step(q_t, k_cache, v_cache, t):
-    """One causal decode step: attend the step-t query to the first t keys."""
-    inv = 1.0 / math.sqrt(q_t.shape[2])
-    logits = (q_t @ k_cache[:, :t].transpose(0, 2, 1)) * inv
-    _softmax_inplace(logits)
-    return logits @ v_cache[:, :t]
-
-
-def ar_causal_kernel(q, k, v):
-    """n sequential causal steps; each step re-attends over the whole prefix."""
-    n = q.shape[1]
+    q, k, v = inputs.q.data, inputs.k.data, inputs.v.data
     out = np.empty_like(q)
-    for t in range(1, n + 1):
-        out[:, t - 1 : t, :] = ar_causal_step(q[:, t - 1 : t, :], k, v, t)
+    for t in range(1, q.shape[1] + 1):
+        step = AttentionInputs(
+            Tensor._wrap(q[:, t - 1 : t], finite=True),
+            Tensor._wrap(k[:, :t], finite=True),
+            Tensor._wrap(v[:, :t], finite=True),
+        )
+        out[:, t - 1 : t] = softmax_attention(step).data
     return out
 
 
-# ---------------------------------------------------------------------------
-# measurement
-# ---------------------------------------------------------------------------
+_FORWARDS = {
+    "ar-causal-softmax": ar_causal_decode,
+    "nar-softmax": softmax_attention,
+    "nar-amlp": amlp_cov_forward,
+}
 
 
 def _cell_rng(config: BenchConfig, arch: str, n: int) -> np.random.Generator:
     return np.random.default_rng([config.seed, ARCHITECTURES.index(arch), n])
 
 
-def _make_inputs(config: BenchConfig, arch: str, n: int):
+def _make_inputs(config: BenchConfig, arch: str, n: int) -> tuple:
+    """The arguments of one cell's forward, drawn from the cell's own seed."""
     rng = _cell_rng(config, arch, n)
     dh = config.d_model // config.heads
     b = config.batch * config.heads
-    q = rng.standard_normal((b, n, dh))
-    k = rng.standard_normal((b, n, dh))
-    v = rng.standard_normal((b, n, dh))
+    inputs = AttentionInputs(
+        *(Tensor._wrap(rng.standard_normal((b, n, dh))) for _ in range(3))
+    )
     if arch == "nar-amlp":
         c_q = rng.standard_normal((config.c, dh)) * dh**-0.5
         c_k = rng.standard_normal((config.c, dh)) * dh**-0.5
-        out = (np.empty((b, n, config.c)), np.empty((b, n, dh)))
-        return (q, k, v, c_q, c_k, config.sigma1, out)
-    return (q, k, v)
+        return (inputs, AmlpCovParams(Tensor._wrap(c_q), Tensor._wrap(c_k), config.sigma1))
+    return (inputs,)
 
 
 def _run_once(arch: str, args):
-    if arch == "nar-softmax":
-        return nar_softmax_kernel(*args)
-    if arch == "nar-amlp":
-        return nar_amlp_kernel(*args)
-    return ar_causal_kernel(*args)
+    return _FORWARDS[arch](*args)
 
 
 def _time_interleaved(arch: str, cells, runs: int, warmup: int) -> list[list[float]]:
@@ -333,7 +299,9 @@ def _measure_peak_bytes(config: BenchConfig, arch: str, n: int) -> int | None:
                 k = rng.standard_normal((b, n, dh))
                 v = rng.standard_normal((b, n, dh))
                 q_t = rng.standard_normal((b, 1, dh))
-                ar_causal_step(q_t, k, v, n)
+                softmax_attention(
+                    AttentionInputs(Tensor._wrap(q_t), Tensor._wrap(k), Tensor._wrap(v))
+                )
             else:
                 _run_once(arch, _make_inputs(config, arch, n))
             _, peak = tracemalloc.get_traced_memory()
@@ -518,7 +486,9 @@ def _train_toy_accuracy(c: int, cfg: SweepConfig) -> float:
             return best >= cfg.stop_accuracy
         return False
 
-    train(model, task, cfg.train_steps, cfg.train_batch, on_step=probe)
+    steps = len(train(model, task, cfg.train_steps, cfg.train_batch, on_step=probe))
+    if steps and steps % cfg.probe_every == 0:
+        return best  # the probe has just evaluated these weights
     return max(best, evaluate(model, task, cfg.eval_samples))
 
 

@@ -64,6 +64,13 @@ class ContractError(ValueError):
     """An operation precondition was violated."""
 
 
+# A non-finite result is reported once, as the ContractError of the finiteness
+# check.  numpy's overflow/invalid warnings are silenced wherever that check
+# follows: op arithmetic, backward, and the check's own sum, which can overflow
+# on valid data such as [1.7e308, 1.7e308].
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
 class Tensor:
     """Immutable dense array of 64-bit floats, rank 0 to 3.
 
@@ -74,6 +81,7 @@ class Tensor:
 
     __slots__ = ("data",)
 
+    @_quiet
     def __init__(self, data) -> None:
         arr = np.array(data, dtype=np.float64)
         _check_array(arr)
@@ -81,17 +89,14 @@ class Tensor:
         self.data = arr
 
     @classmethod
+    @_quiet
     def _wrap(cls, arr: np.ndarray, finite: bool = False) -> "Tensor":
         """Adopt a freshly computed float64 array without copying.
 
         ``finite`` says the elements are already known to be finite, so only
         the dtype, rank and extents are checked.
         """
-        obj = object.__new__(cls)
-        _check_array(arr, finite)
-        arr.setflags(write=False)
-        obj.data = arr
-        return obj
+        return _adopt(arr, finite)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,6 +116,15 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+def _adopt(arr: np.ndarray, finite: bool = False) -> Tensor:
+    """``Tensor._wrap`` for ops, which hold ``_quiet`` already (entering it costs ~1 us)."""
+    _check_array(arr, finite)
+    arr.setflags(write=False)
+    obj = object.__new__(Tensor)
+    obj.data = arr
+    return obj
 
 
 def _check_array(arr: np.ndarray, finite: bool = False) -> None:
@@ -242,7 +256,7 @@ def _dispatch(out: np.ndarray, operands: tuple, make_bw: Callable, rearranged: b
     (already checked) operands, so it needs no finiteness check.
     """
     tape = _tape_of(*operands)
-    wrapped = Tensor._wrap(out, finite=rearranged)
+    wrapped = _adopt(out, rearranged)
     if tape is None:
         return wrapped
     vs = [_lift(tape, x) for x in operands]
@@ -271,6 +285,7 @@ def _unbatch(g: np.ndarray, ndim: int) -> np.ndarray:
     return g.sum(axis=0) if g.ndim > ndim else g
 
 
+@_quiet
 def matmul(a, b):
     """Matrix product over the last two axes of rank-2 or rank-3 operands."""
     av, bv = _val(a), _val(b)
@@ -308,18 +323,21 @@ def _same_shape(av, bv, op):
         raise DimensionError(f"{op} needs matching shapes, got {av.shape} vs {bv.shape}")
 
 
+@_quiet
 def add(a, b):
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "add")
     return _dispatch(av + bv, (a, b), lambda: lambda g: (_unbatch(g, av.ndim), _unbatch(g, bv.ndim)))
 
 
+@_quiet
 def sub(a, b):
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "sub")
     return _dispatch(av - bv, (a, b), lambda: lambda g: (_unbatch(g, av.ndim), -_unbatch(g, bv.ndim)))
 
 
+@_quiet
 def mul(a, b):
     """Elementwise product."""
     av, bv = _val(a), _val(b)
@@ -329,6 +347,7 @@ def mul(a, b):
     )
 
 
+@_quiet
 def scale(a, s: float):
     """Multiply by a python scalar (not differentiated through s)."""
     av = _val(a)
@@ -336,6 +355,7 @@ def scale(a, s: float):
     return _dispatch(av * s, (a,), lambda: lambda g: (g * s,))
 
 
+@_quiet
 def add_bias(x, b):
     """Add a rank-1 bias to every row of a rank-2 or rank-3 operand."""
     xv, bv = _val(x), _val(b)
@@ -345,6 +365,7 @@ def add_bias(x, b):
     return _dispatch(xv + bv, (x, b), lambda: lambda g: (g, g.sum(axis=rows)))
 
 
+@_quiet
 def relu(x):
     xv = _val(x)
     out = np.maximum(xv, 0.0)
@@ -361,12 +382,15 @@ def relu(x):
 
 
 def _softmax_last(xv: np.ndarray) -> np.ndarray:
-    # max-subtraction keeps exp in range for any finite input
-    shifted = xv - xv.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # max-subtraction keeps exp in range for any finite input; every step
+    # after it works in place, so the result is the only array allocated
+    e = xv - xv.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
+@_quiet
 def softmax(x):
     """Softmax over the last axis; each slice sums to 1."""
     xv = _val(x)
@@ -439,6 +463,7 @@ def slice_cols(x, start: int, stop: int):
     return _dispatch(out, (x,), make_bw, rearranged=True)
 
 
+@_quiet
 def sum_all(x):
     """Sum of all elements, as a rank-0 scalar."""
     xv = _val(x)
@@ -453,6 +478,7 @@ def sum_all(x):
     return _dispatch(out, (x,), make_bw)
 
 
+@_quiet
 def ema(x, beta: float):
     """Exponential moving average over rows: out_i = b*out_{i-1} + (1-b)*x_i.
 
@@ -487,6 +513,7 @@ def ema(x, beta: float):
     return _dispatch(out, (x,), make_bw)
 
 
+@_quiet
 def layer_norm(x, gain, bias, eps: float = 1e-5):
     """Row-wise normalization of a rank-2 or rank-3 operand with learned gain and bias."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
@@ -517,6 +544,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     return _dispatch(out, (x, gain, bias), make_bw)
 
 
+@_quiet
 def gather_rows(table, indices):
     """Select rows of a rank-2 table by rank-1 or rank-2 indices; backward scatter-adds."""
     tv = _val(table)
@@ -538,6 +566,7 @@ def gather_rows(table, indices):
     return _dispatch(out, (table,), make_bw)
 
 
+@_quiet
 def cross_entropy(logits, targets):
     """Mean negative log-likelihood of integer targets under row softmax.
 
@@ -577,6 +606,7 @@ def cross_entropy(logits, targets):
 # ---------------------------------------------------------------------------
 
 
+@_quiet
 def backward(tape: Tape, loss: Var) -> None:
     """Populate .grad on every requires-grad Var reachable from the scalar loss."""
     if not isinstance(loss, Var) or loss.tape is not tape:
@@ -610,7 +640,7 @@ def backward(tape: Tape, loss: Var) -> None:
             g = grads[v.node_id]
             if g is None:
                 g = np.zeros_like(v.tensor.data)
-            v._grad = Tensor._wrap(np.asarray(g, dtype=np.float64))
+            v._grad = _adopt(np.asarray(g, dtype=np.float64))
     # the Vars hold the tape, and this list was the tape's only hold on them:
     # dropping it lets reference counting free the graph without the cyclic gc
     tape._vars = []

@@ -1,5 +1,6 @@
-"""Quartile filtering, the memory model, timed kernels, and reporting."""
+"""Quartile filtering, the memory model, the timed library forwards, and reporting."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -22,12 +23,9 @@ from attentive_mlp.bench import (
     BenchRecord,
     CSV_HEADER,
     amlp_cov_flops,
-    ar_causal_kernel,
     fit_loglog_slope,
     iqr_filter,
     model_memory,
-    nar_amlp_kernel,
-    nar_softmax_kernel,
     records_to_csv,
     run_and_report,
     sweep_inner_dimension,
@@ -186,34 +184,49 @@ class TestFlopAccounting:
                 assert ratio <= 2.05
 
 
-class TestKernelsMatchLibrary:
-    def test_nar_softmax_kernel(self):
-        rng = np.random.default_rng(0)
-        q, k, v = (rng.standard_normal((2, 10, 6)) for _ in range(3))
-        out = nar_softmax_kernel(q.copy(), k, v)
-        for b in range(2):
-            lib = softmax_attention(
-                AttentionInputs(Tensor(q[b]), Tensor(k[b]), Tensor(v[b])), scaled=True
-            )
-            np.testing.assert_allclose(out[b], lib.data, atol=1e-13)
+class TestBenchRunsLibrary:
+    CFG = BenchConfig(lengths=(9,), batch=2, runs=4, d_model=12, heads=2, c=3, warmup=0)
 
-    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
-    def test_nar_amlp_kernel(self, sigma1):
-        rng = np.random.default_rng(1)
-        q, k, v = (rng.standard_normal((2, 9, 6)) for _ in range(3))
-        cq, ck = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
-        out = nar_amlp_kernel(q.copy(), k.copy(), v.copy(), cq, ck, sigma1)
-        for b in range(2):
-            lib = amlp_cov_forward(
-                AttentionInputs(Tensor(q[b]), Tensor(k[b]), Tensor(v[b])),
-                AmlpCovParams(Tensor(cq), Tensor(ck), sigma1=sigma1),
-            )
-            np.testing.assert_allclose(out[b], lib.data, atol=1e-13)
+    @staticmethod
+    def _drawn_arrays(cfg, arch, n):
+        """The cell's operands, drawn from its seed as raw arrays: q, k, v, then c_q, c_k."""
+        rng = bench._cell_rng(cfg, arch, n)
+        dh = cfg.d_model // cfg.heads
+        qkv = [rng.standard_normal((cfg.batch * cfg.heads, n, dh)) for _ in range(3)]
+        projections = [rng.standard_normal((cfg.c, dh)) * dh**-0.5 for _ in range(2)]
+        return qkv, projections
 
-    def test_ar_causal_kernel_matches_prefix_attention(self):
+    @pytest.mark.parametrize(
+        "arch, sigma1",
+        [("nar-softmax", "relu"), ("nar-amlp", "softmax"), ("nar-amlp", "relu"), ("nar-amlp", "identity")],
+    )
+    def test_cell_runs_library_forward_on_its_arrays(self, arch, sigma1):
+        cfg = dataclasses.replace(self.CFG, sigma1=sigma1)
+        out = bench._run_once(arch, bench._make_inputs(cfg, arch, 9))
+        (q, k, v), (c_q, c_k) = self._drawn_arrays(cfg, arch, 9)
+        inputs = AttentionInputs(Tensor(q), Tensor(k), Tensor(v))
+        if arch == "nar-softmax":
+            lib = softmax_attention(inputs)
+        else:
+            lib = amlp_cov_forward(inputs, AmlpCovParams(Tensor(c_q), Tensor(c_k), sigma1=sigma1))
+        np.testing.assert_array_equal(out.data, lib.data)
+
+    def test_amlp_cell_follows_sigma1(self):
+        outs = [
+            bench._run_once(
+                "nar-amlp",
+                bench._make_inputs(dataclasses.replace(self.CFG, sigma1=s), "nar-amlp", 9),
+            ).data
+            for s in ("relu", "softmax")
+        ]
+        assert not np.allclose(*outs)
+
+    def test_ar_causal_decode_matches_prefix_attention(self):
         rng = np.random.default_rng(2)
         q, k, v = (rng.standard_normal((1, 7, 4)) for _ in range(3))
-        out = ar_causal_kernel(q, k, v)
+        out = bench._run_once(
+            "ar-causal-softmax", (AttentionInputs(Tensor(q), Tensor(k), Tensor(v)),)
+        )
         for t in range(1, 8):
             lib = softmax_attention(
                 AttentionInputs(Tensor(q[0, t - 1 : t]), Tensor(k[0, :t]), Tensor(v[0, :t])),
@@ -337,6 +350,24 @@ class TestSweepValidation:
     def test_inner_dim_above_head_width_rejected(self):
         with pytest.raises(ConfigError):
             sweep_inner_dimension([32], SweepConfig(d_model=32, heads=2))
+
+
+class TestSweepAccuracy:
+    def test_weights_the_last_probe_evaluated_are_not_evaluated_again(self, monkeypatch):
+        calls = []
+        real = bench.evaluate
+        monkeypatch.setattr(bench, "evaluate", lambda *a: calls.append(a) or real(*a))
+        cfg = SweepConfig(train_steps=4, probe_every=2, eval_samples=8, stop_accuracy=1.1)
+        for steps, stop, expected in (
+            (4, 1.1, 2),  # probes after steps 2 and 4, nothing after training
+            (5, 1.1, 3),  # step 5 was not probed, so training ends with one evaluation
+            (4, 0.0, 1),  # the first probe stops training
+        ):
+            calls.clear()
+            bench._train_toy_accuracy(
+                4, dataclasses.replace(cfg, train_steps=steps, stop_accuracy=stop)
+            )
+            assert len(calls) == expected, (steps, stop)
 
 
 class TestCausalScaling:

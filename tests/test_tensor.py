@@ -1,6 +1,8 @@
 """Core array type, tape, and gradient checker."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,8 +76,33 @@ class TestTensor:
         with pytest.raises(ContractError):
             Tensor(np.nan)
         big = Tensor(np.full((2, 2), 1e200))
-        with np.errstate(over="ignore"), pytest.raises(ContractError):
+        with pytest.raises(ContractError):
             matmul(big, big)  # computed outputs are checked too
+
+    def test_numeric_fault_is_one_contract_error(self):
+        # with warnings as errors, numpy's overflow/invalid warnings would
+        # surface as RuntimeWarning ahead of the ContractError
+        huge, largest = Tensor(np.full((2, 2), 1e300)), Tensor(np.full((2, 2), 1.7e308))
+        faults = [
+            lambda: matmul(huge, huge),
+            lambda: scale(huge, 1e300),
+            lambda: add(largest, largest),
+            lambda: Tensor([np.inf, -np.inf]),
+        ]
+
+        def overflowing_backward():
+            tape = Tape()
+            x = tape.leaf(Tensor(np.full((2, 2), 1e-300)), requires_grad=True)
+            # the forward is finite; the gradient of x, ones @ w.T, overflows
+            backward(tape, sum_all(matmul(x, largest)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fault in faults + [overflowing_backward]:
+                with pytest.raises(ContractError):
+                    fault()
+            # a valid tensor whose sum overflows constructs
+            assert Tensor([1.7e308, 1.7e308]).shape == (2,)
 
     def test_rejects_empty_extent(self):
         with pytest.raises(DimensionError):
@@ -122,7 +149,33 @@ class TestMatmul:
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+def _softmax_three_arrays(x):
+    """Reference softmax with a fresh array per step: shifted, exp, then the division."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestSoftmax:
+    @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
+    def test_in_place_matches_three_array_formula(self, shape):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal(shape) * 30
+        x[..., 0] += 1e6  # a row offset far from zero
+        for xv in (x, x + 1e12, -x):
+            np.testing.assert_array_equal(T._softmax_last(xv), _softmax_three_arrays(xv))
+
+    def test_peak_holds_one_output_array(self):
+        x = Tensor(np.random.default_rng(23).standard_normal((512, 512)))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = softmax(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes, peak / out.data.nbytes
+
     def test_uniform_on_equal_logits(self):
         out = softmax(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
