@@ -25,6 +25,7 @@ from .tensor import (
     DimensionError,
     Tensor,
     Var,
+    _quiet,
     _softmax_last,
     add,
     concat,
@@ -339,24 +340,36 @@ def amlp_pquery_forward(inputs: AttentionInputs, params: AmlpPQueryParams):
 class CausalCovState:
     """Running second-moment sums over the tokens consumed so far.
 
-    s_q and s_k accumulate outer products of the query/key rows (symmetric
-    PSD by construction); z accumulates key-value outer products.  Updated
-    functionally: each step returns a new state.
+    ``sums`` is one (3, d, d) Tensor stacking s_q, s_k and z: s_q and s_k
+    accumulate outer products of the query/key rows (symmetric PSD by
+    construction), z accumulates key-value outer products.  The properties
+    s_q, s_k and z are read-only (d, d) views of it.  Updated functionally:
+    each step returns a new state.
     """
 
-    s_q: Tensor
-    s_k: Tensor
-    z: Tensor
+    sums: Tensor
     t: int = 0
+
+    @property
+    def s_q(self) -> Tensor:
+        return Tensor._wrap(self.sums.data[0], finite=True)
+
+    @property
+    def s_k(self) -> Tensor:
+        return Tensor._wrap(self.sums.data[1], finite=True)
+
+    @property
+    def z(self) -> Tensor:
+        return Tensor._wrap(self.sums.data[2], finite=True)
 
 
 def causal_amlp_cov_init(d: int) -> CausalCovState:
     if d < 1:
         raise ConfigError(f"width must be positive, got {d}")
-    zero = Tensor._wrap(np.zeros((d, d)))
-    return CausalCovState(s_q=zero, s_k=zero, z=zero, t=0)
+    return CausalCovState(sums=Tensor._wrap(np.zeros((3, d, d))), t=0)
 
 
+@_quiet
 def causal_amlp_cov_step(
     state: CausalCovState, q_t, k_t, v_t, params: AmlpCovParams
 ) -> tuple[Tensor, CausalCovState]:
@@ -364,28 +377,29 @@ def causal_amlp_cov_step(
 
     The accumulated sums make each output equal the corresponding row of the
     non-causal covariance forward applied to the prefix seen so far.  Per-step
-    cost is Theta(c*d^2) (three c x d by d x d products: c_q softmax(S_Q),
-    c_k softmax(S_K) and L softmax(z)), independent of how many tokens came
-    before.
+    work is independent of how many tokens came before: one broadcast product
+    adds q^T q, k^T k and k^T v to the stacked sums (3d^2 MACs), one softmax
+    runs over all three (3d^2 exps), and three c x d by d x d
+    products form c_q softmax(S_Q) + c_k softmax(S_K) = L and L softmax(z)
+    (3cd^2 MACs).
     """
     qv, kv, vv = _data(q_t), _data(k_t), _data(v_t)
-    d = state.s_q.shape[0]
+    d = state.sums.shape[-1]
     for name, a in (("q_t", qv), ("k_t", kv), ("v_t", vv)):
         if a.shape != (1, d):
             raise DimensionError(f"{name} must be 1 x {d}, got {a.shape}")
     if params.d != d:
         raise DimensionError(f"params are for width {params.d}, state has {d}")
 
-    s_q = state.s_q.data + qv.T @ qv
-    s_k = state.s_k.data + kv.T @ kv
-    z = state.z.data + kv.T @ vv
-    new_state = CausalCovState(
-        s_q=Tensor._wrap(s_q), s_k=Tensor._wrap(s_k), z=Tensor._wrap(z), t=state.t + 1
-    )
+    # a product with one term is exact, so this equals the running sums of
+    # q^T q, k^T k and k^T v bit for bit
+    left, right = np.concatenate((qv, kv, kv)), np.concatenate((qv, kv, vv))
+    sums = state.sums.data + left[:, :, None] * right[:, None, :]
+    new_state = CausalCovState(sums=Tensor._wrap(sums), t=state.t + 1)
 
-    cq, ck = _data(params.c_q), _data(params.c_k)
-    lt = cq @ _softmax_last(s_q) + ck @ _softmax_last(s_k)
-    w_qkv = lt @ _softmax_last(z)
+    p_q, p_k, p_z = _softmax_last(sums)
+    lt = _data(params.c_q) @ p_q + _data(params.c_k) @ p_k
+    w_qkv = lt @ p_z
     hidden = qv @ lt.T
     if params.sigma1 == "softmax":
         hidden = _softmax_last(hidden)

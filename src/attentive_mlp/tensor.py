@@ -17,6 +17,9 @@ nothing is copied until an op has to compute.  ``concat`` joins any number
 of operands in one copy.  A Tape holds its Vars only until ``backward`` has
 assigned their gradients; after that the graph is freed by reference
 counting as soon as the caller drops its Vars.
+
+Softmax probabilities below the smallest normal float64 (2.2e-308) are
+exactly 0, never subnormal.
 """
 
 from __future__ import annotations
@@ -381,11 +384,26 @@ def relu(x):
     return _dispatch(out, (x,), make_bw)
 
 
+# Below this shifted logit a probability is under the smallest normal float64
+# (2.2e-308); numpy's exp leaves its vector loop for such inputs.
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+
+
 def _softmax_last(xv: np.ndarray) -> np.ndarray:
     # max-subtraction keeps exp in range for any finite input; every step
-    # after it works in place, so the result is the only array allocated
+    # after it works in place, so the result is the only array allocated.
+    # Probabilities below 2.2e-308 are flushed to exactly 0: numpy's exp
+    # leaves its vector loop where its result would be subnormal or underflow,
+    # and such an entry cannot change its row's sum, which is at least 1.  The
+    # flush holds one boolean mask, and a call with no entry below the
+    # threshold skips it.
     e = xv - xv.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
+    if e.min() < _LOG_TINY:
+        keep = e >= _LOG_TINY
+        np.exp(e, out=e, where=keep)
+        np.copyto(e, 0.0, where=np.logical_not(keep, out=keep))
+    else:
+        np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 

@@ -227,11 +227,17 @@ def _check_distance_vs_factored(seed: int):
 
 def _check_causal_prefix(seed: int):
     rng = np.random.default_rng([seed, 10])
-    worst = 0.0
-    for trial in range(12):
-        n, d, c = 10, 4, 2
+    tiny = np.finfo(np.float64).tiny
+    worst, band_steps = 0.0, 0
+    for trial in range(15):
+        # the last three trials scale q so that S_Q's row softmax reaches the
+        # band where exp is subnormal, which the step flushes to 0
+        long = trial >= 12
+        n, d, c = (40 if long else 10), 4, 2
         sigma1 = ("softmax", "relu", "identity")[trial % 3]
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        if long:
+            q = q * 6.0
         params = AmlpCovParams(_param(rng, c, d), _param(rng, c, d), sigma1=sigma1)
         state = causal_amlp_cov_init(d)
         for t in range(1, n + 1):
@@ -242,7 +248,11 @@ def _check_causal_prefix(seed: int):
                 AttentionInputs(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t])), params
             )
             worst = max(worst, float(np.abs(out_t.data[0] - full.data[t - 1]).max()))
-    return worst <= 1e-10, f"max abs err {worst:.3e} (tol 1e-10)"
+            s_q = state.s_q.data
+            p = np.exp(s_q - s_q.max(axis=-1, keepdims=True))
+            band_steps += bool(((p > 0) & (p < tiny)).any())
+    detail = f"max abs err {worst:.3e} (tol 1e-10), {band_steps} steps in the subnormal band"
+    return worst <= 1e-10 and band_steps > 0, detail
 
 
 def _check_checkpoint_roundtrip(seed: int):

@@ -1,6 +1,7 @@
 """Attention mechanisms against scalar-loop and dense-eigendecomposition oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,39 @@ class TestCausalCov:
                     AttentionInputs(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t])), params
                 )
                 np.testing.assert_allclose(out_t.data[0], prefix.data[t - 1], atol=1e-10)
+
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    def test_prefix_equivalence_through_underflow_band(self, sigma1):
+        # scaled q rows make S_Q's diagonal outgrow its off-diagonal entries by
+        # more than 708 within a few dozen steps, so its row softmax reaches
+        # the band where exp is subnormal and the step flushes it to 0
+        rng = np.random.default_rng(34)
+        n, d, c = 48, 6, 3
+        q = rng.standard_normal((n, d)) * 6.0
+        k, v = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        params = cov_params(rng, c, d, sigma1=sigma1)
+        state = causal_amlp_cov_init(d)
+        band_steps = 0
+        for t in range(1, n + 1):
+            out_t, state = causal_amlp_cov_step(
+                state, Tensor(q[t - 1 : t]), Tensor(k[t - 1 : t]), Tensor(v[t - 1 : t]), params
+            )
+            s_q = state.s_q.data
+            p = np.exp(s_q - s_q.max(axis=-1, keepdims=True))
+            band_steps += bool(((p > 0) & (p < np.finfo(np.float64).tiny)).any())
+            prefix = amlp_cov_forward(
+                AttentionInputs(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t])), params
+            )
+            np.testing.assert_allclose(out_t.data[0], prefix.data[t - 1], atol=1e-10)
+        assert band_steps > 0
+
+    def test_overflowing_step_raises_contract_error_without_warning(self):
+        params = cov_params(np.random.default_rng(35), 2, 3)
+        big = Tensor(np.full((1, 3), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError):
+                causal_amlp_cov_step(causal_amlp_cov_init(3), big, big, big, params)
 
     @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
     def test_step_bit_identical_to_row_softmax_restatement(self, sigma1):

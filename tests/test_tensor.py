@@ -176,6 +176,38 @@ class TestSoftmax:
             tracemalloc.stop()
         assert peak <= 1.25 * out.data.nbytes, peak / out.data.nbytes
 
+    def test_flushes_probabilities_below_smallest_normal(self):
+        # shifted logits in [-745.2, -708.4), where exp is subnormal, and
+        # below -745.2, where it underflows to 0
+        log_tiny = math.log(np.finfo(np.float64).tiny)
+        rng = np.random.default_rng(37)
+        x = rng.uniform(-5.0, 0.0, (6, 40))
+        x[:, 0] = 0.0  # the row max
+        x[:, 1::4] = rng.uniform(-745.2, log_tiny, (6, 10))
+        x[:, 2::4] = rng.uniform(-3000.0, -745.2, (6, 10))
+        for xv in (x, x + 300.0, (x + 1e3)[None]):
+            shifted = xv - xv.max(axis=-1, keepdims=True)
+            flushed = shifted < log_tiny
+            ref = _softmax_three_arrays(xv)
+            assert (ref[flushed] > 0).any()  # the reference does go subnormal
+            out = T._softmax_last(xv)
+            assert (out[flushed] == 0.0).all()
+            np.testing.assert_array_equal(out[~flushed], ref[~flushed])
+            np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+    def test_flush_peak_holds_one_output_array_and_a_mask(self):
+        xv = np.random.default_rng(41).standard_normal((512, 512)) * 400
+        assert (xv - xv.max(axis=-1, keepdims=True)).min() < math.log(np.finfo(np.float64).tiny)
+        x = Tensor(xv)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = softmax(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.data.nbytes, peak / out.data.nbytes
+
     def test_uniform_on_equal_logits(self):
         out = softmax(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
