@@ -266,9 +266,6 @@ class NarModel:
         """Argmax decode of every position of one source or a batch; ties pick the lower token id."""
         return np.argmax(self.forward(source_tokens).data, axis=-1)
 
-    def evaluate(self, task: SyntheticTask, num_samples: int, split: str = "eval") -> float:
-        return evaluate(self, task, num_samples, split=split)
-
 
 def evaluate(model, task: SyntheticTask, num_samples: int, split: str = "eval") -> float:
     """Fraction of positions where the model's decode matches the ground truth.

@@ -14,9 +14,14 @@ the sum over the batch.
 ``transpose`` and ``slice_cols`` return read-only views of their operand, not
 copies: numpy hands transposed and strided operands straight to BLAS, so
 nothing is copied until an op has to compute.  ``concat`` joins any number
-of operands in one copy.  A Tape holds its Vars only until ``backward`` has
-assigned their gradients; after that the graph is freed by reference
-counting as soon as the caller drops its Vars.
+of operands in one copy.
+
+A Tape records, per node, its input ids, its backward rule and whether it
+needs a gradient.  Of the Vars it holds only its requires-grad leaves, and
+only until ``backward`` has assigned their gradients: ``.grad`` is set on
+those leaves and nowhere else.  An op output is held by its caller alone, so
+a dropped intermediate is freed during the forward pass, and a spent graph
+is freed by reference counting as soon as the caller drops its Vars.
 
 Softmax probabilities below the smallest normal float64 (2.2e-308) are
 exactly 0, never subnormal.
@@ -27,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -159,9 +164,9 @@ def _as_tensor(x) -> Tensor:
 class Var:
     """Handle to a value recorded on a Tape.
 
-    ``grad`` is populated by ``backward`` for requires-grad Vars; it always
-    matches the value's shape.  A Var is only meaningful on the Tape that
-    created it.
+    ``grad`` is populated by ``backward`` for requires-grad leaves (made by
+    ``Tape.leaf``) and stays None on every other Var; it always matches the
+    value's shape.  A Var is only meaningful on the Tape that created it.
     """
 
     __slots__ = ("tensor", "node_id", "requires_grad", "tape", "_grad")
@@ -188,26 +193,21 @@ class Var:
         return f"Var(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-@dataclass
-class _Node:
-    inputs: tuple[int, ...]
-    backward: Callable[[np.ndarray], tuple] | None
-    requires: bool
-
-
 class Tape:
     """Recorded computation graph in topological order.
 
     Build once, backward once.  A Tape and its Vars belong to one logical
-    thread; distinct Tapes may be used concurrently.  ``backward`` drops the
-    tape's list of Vars, which is the only reference from the tape back to
-    them, so a spent tape is freed by reference counting as soon as the
-    caller's Vars go; ``len`` still reports the recorded node count.
+    thread; distinct Tapes may be used concurrently.  Each node is a tuple
+    (input node ids, backward rule, requires grad); an operand that is not a
+    Var is recorded as input id None and gets no node.  The tape holds no op
+    outputs, and holds its requires-grad leaves only until ``backward`` has
+    assigned their gradients, so a spent tape is freed by reference counting
+    as soon as the caller's Vars go; ``len`` still reports the node count.
     """
 
     def __init__(self) -> None:
-        self._nodes: list[_Node] = []
-        self._vars: list[Var] = []
+        self._nodes: list[tuple] = []
+        self._leaves: list[Var] = []
         self._spent = False
 
     def __len__(self) -> int:
@@ -215,21 +215,10 @@ class Tape:
 
     def leaf(self, value, requires_grad: bool = False) -> Var:
         """Enter a value onto the tape as an input node."""
-        t = _as_tensor(value)
-        node_id = len(self._nodes)
-        self._nodes.append(_Node(inputs=(), backward=None, requires=requires_grad))
-        v = Var(t, node_id, requires_grad, self)
-        self._vars.append(v)
-        return v
-
-    def _record(self, out: Tensor, inputs: Sequence[Var], bw: Callable) -> Var:
-        requires = any(v.requires_grad for v in inputs)
-        node_id = len(self._nodes)
-        self._nodes.append(
-            _Node(inputs=tuple(v.node_id for v in inputs), backward=bw, requires=requires)
-        )
-        v = Var(out, node_id, requires, self)
-        self._vars.append(v)
+        v = Var(_as_tensor(value), len(self._nodes), requires_grad, self)
+        self._nodes.append(((), None, requires_grad))
+        if requires_grad:
+            self._leaves.append(v)
         return v
 
 
@@ -244,17 +233,14 @@ def _tape_of(*xs) -> Tape | None:
     return tape
 
 
-def _lift(tape: Tape, x) -> Var:
-    return x if isinstance(x, Var) else tape.leaf(_as_tensor(x))
-
-
 def _val(x) -> np.ndarray:
     return _as_tensor(x).data
 
 
-def _dispatch(out: np.ndarray, operands: tuple, make_bw: Callable, rearranged: bool = False):
+def _dispatch(out: np.ndarray, operands: tuple, bw: Callable, rearranged: bool = False):
     """Return a Tensor, or record a Var if any operand lives on a tape.
 
+    ``bw`` maps the output's gradient to one gradient per operand.
     ``rearranged`` marks an output whose elements are all elements of the
     (already checked) operands, so it needs no finiteness check.
     """
@@ -262,8 +248,11 @@ def _dispatch(out: np.ndarray, operands: tuple, make_bw: Callable, rearranged: b
     wrapped = _adopt(out, rearranged)
     if tape is None:
         return wrapped
-    vs = [_lift(tape, x) for x in operands]
-    return tape._record(wrapped, vs, make_bw())
+    ids = tuple(x.node_id if isinstance(x, Var) else None for x in operands)
+    requires = any(isinstance(x, Var) and x.requires_grad for x in operands)
+    v = Var(wrapped, len(tape._nodes), requires, tape)
+    tape._nodes.append((ids, bw, requires))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +284,13 @@ def matmul(a, b):
     _check_batch("matmul", av, bv)
     if av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {av.shape} @ {bv.shape}")
-    out = av @ bv
 
-    def make_bw():
-        def bw(g):
-            ga = g @ np.swapaxes(bv, -1, -2)
-            gb = np.swapaxes(av, -1, -2) @ g
-            return (_unbatch(ga, av.ndim), _unbatch(gb, bv.ndim))
+    def bw(g):
+        ga = g @ np.swapaxes(bv, -1, -2)
+        gb = np.swapaxes(av, -1, -2) @ g
+        return (_unbatch(ga, av.ndim), _unbatch(gb, bv.ndim))
 
-        return bw
-
-    return _dispatch(out, (a, b), make_bw)
+    return _dispatch(av @ bv, (a, b), bw)
 
 
 def transpose(a):
@@ -314,7 +299,7 @@ def transpose(a):
     if av.ndim not in (2, 3):
         raise DimensionError(f"transpose needs a rank-2 or rank-3 operand, got shape {av.shape}")
     out = np.swapaxes(av, -1, -2)
-    return _dispatch(out, (a,), lambda: lambda g: (np.swapaxes(g, -1, -2),), rearranged=True)
+    return _dispatch(out, (a,), lambda g: (np.swapaxes(g, -1, -2),), rearranged=True)
 
 
 def _same_shape(av, bv, op):
@@ -330,14 +315,14 @@ def _same_shape(av, bv, op):
 def add(a, b):
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "add")
-    return _dispatch(av + bv, (a, b), lambda: lambda g: (_unbatch(g, av.ndim), _unbatch(g, bv.ndim)))
+    return _dispatch(av + bv, (a, b), lambda g: (_unbatch(g, av.ndim), _unbatch(g, bv.ndim)))
 
 
 @_quiet
 def sub(a, b):
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "sub")
-    return _dispatch(av - bv, (a, b), lambda: lambda g: (_unbatch(g, av.ndim), -_unbatch(g, bv.ndim)))
+    return _dispatch(av - bv, (a, b), lambda g: (_unbatch(g, av.ndim), -_unbatch(g, bv.ndim)))
 
 
 @_quiet
@@ -345,9 +330,7 @@ def mul(a, b):
     """Elementwise product."""
     av, bv = _val(a), _val(b)
     _same_shape(av, bv, "mul")
-    return _dispatch(
-        av * bv, (a, b), lambda: lambda g: (_unbatch(g * bv, av.ndim), _unbatch(g * av, bv.ndim))
-    )
+    return _dispatch(av * bv, (a, b), lambda g: (_unbatch(g * bv, av.ndim), _unbatch(g * av, bv.ndim)))
 
 
 @_quiet
@@ -355,7 +338,7 @@ def scale(a, s: float):
     """Multiply by a python scalar (not differentiated through s)."""
     av = _val(a)
     s = float(s)
-    return _dispatch(av * s, (a,), lambda: lambda g: (g * s,))
+    return _dispatch(av * s, (a,), lambda g: (g * s,))
 
 
 @_quiet
@@ -365,23 +348,13 @@ def add_bias(x, b):
     if xv.ndim not in (2, 3) or bv.ndim != 1 or xv.shape[-1] != bv.shape[0]:
         raise DimensionError(f"add_bias needs ([B,]n,k) plus (k,), got {xv.shape} and {bv.shape}")
     rows = tuple(range(xv.ndim - 1))
-    return _dispatch(xv + bv, (x, b), lambda: lambda g: (g, g.sum(axis=rows)))
+    return _dispatch(xv + bv, (x, b), lambda g: (g, g.sum(axis=rows)))
 
 
 @_quiet
 def relu(x):
     xv = _val(x)
-    out = np.maximum(xv, 0.0)
-
-    def make_bw():
-        mask = xv > 0.0
-
-        def bw(g):
-            return (g * mask,)
-
-        return bw
-
-    return _dispatch(out, (x,), make_bw)
+    return _dispatch(np.maximum(xv, 0.0), (x,), lambda g: (g * (xv > 0.0),))
 
 
 # Below this shifted logit a probability is under the smallest normal float64
@@ -414,18 +387,13 @@ def softmax(x):
     xv = _val(x)
     if xv.ndim == 0:
         raise DimensionError("softmax needs at least rank 1")
-    out = _softmax_last(xv)
+    y = _softmax_last(xv)
 
-    def make_bw():
-        y = out
+    def bw(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - dot),)
 
-        def bw(g):
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            return (y * (g - dot),)
-
-        return bw
-
-    return _dispatch(out, (x,), make_bw)
+    return _dispatch(y, (x,), bw)
 
 
 def concat(*parts, axis: int):
@@ -452,13 +420,10 @@ def concat(*parts, axis: int):
         out = np.concatenate(vals, axis=ax)
     splits = list(itertools.accumulate(v.shape[ax] for v in vals[:-1]))
 
-    def make_bw():
-        def bw(g):
-            return tuple(_unbatch(gp, nd) for gp, nd in zip(np.split(g, splits, axis=ax), ndims))
+    def bw(g):
+        return tuple(_unbatch(gp, nd) for gp, nd in zip(np.split(g, splits, axis=ax), ndims))
 
-        return bw
-
-    return _dispatch(out, parts, make_bw, rearranged=True)
+    return _dispatch(out, parts, bw, rearranged=True)
 
 
 def slice_cols(x, start: int, stop: int):
@@ -468,32 +433,20 @@ def slice_cols(x, start: int, stop: int):
         raise DimensionError(f"slice_cols needs a rank-2 or rank-3 operand, got shape {xv.shape}")
     if not (0 <= start < stop <= xv.shape[-1]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for shape {xv.shape}")
-    out = xv[..., start:stop]
 
-    def make_bw():
-        def bw(g):
-            full = np.zeros_like(xv)
-            full[..., start:stop] = g
-            return (full,)
+    def bw(g):
+        full = np.zeros_like(xv)
+        full[..., start:stop] = g
+        return (full,)
 
-        return bw
-
-    return _dispatch(out, (x,), make_bw, rearranged=True)
+    return _dispatch(xv[..., start:stop], (x,), bw, rearranged=True)
 
 
 @_quiet
 def sum_all(x):
     """Sum of all elements, as a rank-0 scalar."""
     xv = _val(x)
-    out = np.asarray(xv.sum())
-
-    def make_bw():
-        def bw(g):
-            return (np.broadcast_to(g, xv.shape).copy(),)
-
-        return bw
-
-    return _dispatch(out, (x,), make_bw)
+    return _dispatch(np.asarray(xv.sum()), (x,), lambda g: (np.broadcast_to(g, xv.shape).copy(),))
 
 
 @_quiet
@@ -516,19 +469,16 @@ def ema(x, beta: float):
     for i in range(1, n):
         out[..., i, :] = beta * out[..., i - 1, :] + (1.0 - beta) * xv[..., i, :]
 
-    def make_bw():
-        def bw(g):
-            gx = np.empty_like(g)
-            carry = g[..., n - 1, :].copy()
-            for i in range(n - 1, 0, -1):
-                gx[..., i, :] = (1.0 - beta) * carry
-                carry = g[..., i - 1, :] + beta * carry
-            gx[..., 0, :] = carry
-            return (gx,)
+    def bw(g):
+        gx = np.empty_like(g)
+        carry = g[..., n - 1, :].copy()
+        for i in range(n - 1, 0, -1):
+            gx[..., i, :] = (1.0 - beta) * carry
+            carry = g[..., i - 1, :] + beta * carry
+        gx[..., 0, :] = carry
+        return (gx,)
 
-        return bw
-
-    return _dispatch(out, (x,), make_bw)
+    return _dispatch(out, (x,), bw)
 
 
 @_quiet
@@ -543,23 +493,18 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     var = xv.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xv - mu) * inv
-    out = xhat * gv + bv
 
-    def make_bw():
+    def bw(g):
         rows = tuple(range(xv.ndim - 1))
+        dgain = (g * xhat).sum(axis=rows)
+        dbias = g.sum(axis=rows)
+        dxhat = g * gv
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (dxhat - m1 - xhat * m2)
+        return (dx, dgain, dbias)
 
-        def bw(g):
-            dgain = (g * xhat).sum(axis=rows)
-            dbias = g.sum(axis=rows)
-            dxhat = g * gv
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            dx = inv * (dxhat - m1 - xhat * m2)
-            return (dx, dgain, dbias)
-
-        return bw
-
-    return _dispatch(out, (x, gain, bias), make_bw)
+    return _dispatch(xhat * gv + bv, (x, gain, bias), bw)
 
 
 @_quiet
@@ -571,17 +516,13 @@ def gather_rows(table, indices):
         raise DimensionError("gather_rows needs a rank-2 table and rank-1 or rank-2 indices")
     if idx.size == 0 or idx.min() < 0 or idx.max() >= tv.shape[0]:
         raise ContractError(f"indices out of range for table with {tv.shape[0]} rows")
-    out = tv[idx].copy()
 
-    def make_bw():
-        def bw(g):
-            full = np.zeros_like(tv)
-            np.add.at(full, idx, g)
-            return (full,)
+    def bw(g):
+        full = np.zeros_like(tv)
+        np.add.at(full, idx, g)
+        return (full,)
 
-        return bw
-
-    return _dispatch(out, (table,), make_bw)
+    return _dispatch(tv[idx].copy(), (table,), bw)
 
 
 @_quiet
@@ -606,17 +547,12 @@ def cross_entropy(logits, targets):
     lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
     out = np.asarray((lse - lv[np.arange(n), idx]).mean())
 
-    def make_bw():
-        probs = _softmax_last(lv)
+    def bw(g):
+        dl = _softmax_last(lv)
+        dl[np.arange(n), idx] -= 1.0
+        return ((dl * (float(g) / n)).reshape(full.shape),)
 
-        def bw(g):
-            dl = probs.copy()
-            dl[np.arange(n), idx] -= 1.0
-            return ((dl * (float(g) / n)).reshape(full.shape),)
-
-        return bw
-
-    return _dispatch(out, (logits,), make_bw)
+    return _dispatch(out, (logits,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +562,11 @@ def cross_entropy(logits, targets):
 
 @_quiet
 def backward(tape: Tape, loss: Var) -> None:
-    """Populate .grad on every requires-grad Var reachable from the scalar loss."""
+    """Populate .grad on every requires-grad leaf of the tape from the scalar loss.
+
+    A leaf the loss does not reach gets a zero gradient.  Every leaf gradient
+    is checked to be finite; op outputs get no ``.grad``.
+    """
     if not isinstance(loss, Var) or loss.tape is not tape:
         raise ContractError("loss was not produced on this tape")
     if loss.tensor.size != 1:
@@ -638,14 +578,14 @@ def backward(tape: Tape, loss: Var) -> None:
     grads: list[np.ndarray | None] = [None] * len(tape._nodes)
     grads[loss.node_id] = np.ones_like(loss.tensor.data)
 
+    nodes = tape._nodes
     for nid in range(loss.node_id, -1, -1):
-        node = tape._nodes[nid]
+        inputs, bw, requires = nodes[nid]
         g = grads[nid]
-        if g is None or node.backward is None or not node.requires:
+        if g is None or bw is None or not requires:
             continue
-        contribs = node.backward(g)
-        for iid, contrib in zip(node.inputs, contribs):
-            if contrib is None or not tape._nodes[iid].requires:
+        for iid, contrib in zip(inputs, bw(g)):
+            if iid is None or contrib is None or not nodes[iid][2]:
                 continue
             # contributions are never mutated, so aliasing g is fine
             if grads[iid] is None:
@@ -653,15 +593,14 @@ def backward(tape: Tape, loss: Var) -> None:
             else:
                 grads[iid] = grads[iid] + contrib
 
-    for v in tape._vars:
-        if v.requires_grad:
-            g = grads[v.node_id]
-            if g is None:
-                g = np.zeros_like(v.tensor.data)
-            v._grad = _adopt(np.asarray(g, dtype=np.float64))
-    # the Vars hold the tape, and this list was the tape's only hold on them:
+    for v in tape._leaves:
+        g = grads[v.node_id]
+        if g is None:
+            g = np.zeros_like(v.tensor.data)
+        v._grad = _adopt(np.asarray(g, dtype=np.float64))
+    # the leaves hold the tape, and this list was the tape's only hold on them:
     # dropping it lets reference counting free the graph without the cyclic gc
-    tape._vars = []
+    tape._leaves = []
 
 
 # ---------------------------------------------------------------------------

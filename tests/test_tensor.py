@@ -1,8 +1,10 @@
 """Core array type, tape, and gradient checker."""
 
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -96,13 +98,32 @@ class TestTensor:
             # the forward is finite; the gradient of x, ones @ w.T, overflows
             backward(tape, sum_all(matmul(x, largest)))
 
+        def overflow_through_an_intermediate():
+            tape = Tape()
+            x = tape.leaf(Tensor(np.full((2, 2), 1e-300)), requires_grad=True)
+            h = relu(matmul(x, Tensor(np.ones((2, 2)))))
+            # only leaf gradients are checked: the first non-finite one is the
+            # intermediate d loss / d h = ones @ largest.T, and it flows on into x's
+            backward(tape, sum_all(matmul(h, largest)))
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fault in faults + [overflowing_backward]:
+            for fault in faults + [overflowing_backward, overflow_through_an_intermediate]:
                 with pytest.raises(ContractError):
                     fault()
             # a valid tensor whose sum overflows constructs
             assert Tensor([1.7e308, 1.7e308]).shape == (2,)
+
+    def test_single_element_matmul_overflow_raises(self):
+        # only C[n-1, n-1] overflows; at this size a BLAS worker thread may
+        # compute it, and FPU flags are per thread, so np.errstate(over="raise")
+        # misses it under a threaded BLAS: the output's finiteness check must not
+        n = 256
+        a, b = np.ones((n, n)), np.ones((n, n))
+        a[-1, :] = 1e200
+        b[:, -1] = 1e200
+        with pytest.raises(ContractError):
+            matmul(Tensor(a), Tensor(b))
 
     def test_rejects_empty_extent(self):
         with pytest.raises(DimensionError):
@@ -321,6 +342,39 @@ class TestBackward:
         assert x.grad is None
         assert y.grad is not None
 
+    def test_grad_lands_on_leaves_only(self):
+        tape = Tape()
+        x = tape.leaf(Tensor(np.ones((2, 3))), requires_grad=True)
+        h = relu(x)
+        backward(tape, sum_all(h))
+        assert h.requires_grad and h.grad is None
+        np.testing.assert_array_equal(x.grad.data, np.ones((2, 3)))
+
+    def test_constant_operand_records_no_node(self):
+        tape = Tape()
+        x = tape.leaf(Tensor(np.ones(3)), requires_grad=True)
+        loss = sum_all(add(x, Tensor(np.ones(3))))
+        assert len(tape) == 3  # the leaf, add and sum_all
+        backward(tape, loss)
+        np.testing.assert_array_equal(x.grad.data, np.ones(3))
+
+    def test_dropped_intermediate_is_freed_during_forward(self):
+        # the tape holds no op output, so reference counting alone frees one
+        # the caller drops, before backward runs
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.leaf(Tensor(np.ones((3, 4))), requires_grad=True)
+            t = matmul(x, Tensor(np.ones((4, 2))))
+            u = scale(t, 2.0)
+            data = weakref.ref(t.tensor.data)
+            del t
+            assert data() is None
+            backward(tape, sum_all(u))
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(x.grad.data, np.full((3, 4), 4.0))
+
     def test_deterministic_across_fresh_tapes(self):
         def grads():
             rng = np.random.default_rng(5)
@@ -525,15 +579,12 @@ def _matmul_wrong_grad(a, b):
     """matmul whose backward rule for `a` is 1% too large, built like the library's ops."""
     av, bv = T._val(a), T._val(b)
 
-    def make_bw():
-        def bw(g):
-            ga = 1.01 * (g @ np.swapaxes(bv, -1, -2))
-            gb = np.swapaxes(av, -1, -2) @ g
-            return (T._unbatch(ga, av.ndim), T._unbatch(gb, bv.ndim))
+    def bw(g):
+        ga = 1.01 * (g @ np.swapaxes(bv, -1, -2))
+        gb = np.swapaxes(av, -1, -2) @ g
+        return (T._unbatch(ga, av.ndim), T._unbatch(gb, bv.ndim))
 
-        return bw
-
-    return T._dispatch(av @ bv, (a, b), make_bw)
+    return T._dispatch(av @ bv, (a, b), bw)
 
 
 class TestFiniteDifferenceCheck:
