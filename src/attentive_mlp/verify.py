@@ -22,6 +22,7 @@ from .attention import (
     AmlpCovParams,
     AmlpPQueryParams,
     AttentionInputs,
+    MultiHeadParams,
     amlp_cov_forward,
     amlp_pquery_forward,
     causal_amlp_cov_init,
@@ -29,6 +30,7 @@ from .attention import (
     distance_attention,
     low_rank_factor,
     mlp_forward,
+    multi_head_forward,
     softmax_attention,
 )
 from .narmodel import NarConfig, NarModel, load_checkpoint, save_checkpoint
@@ -167,6 +169,25 @@ def _check_grad_batched_cov(seed: int, broken: bool):
     return _grad_check(f, [cq, ck, q], broken)
 
 
+def _check_grad_multi_head_cov(seed: int, broken: bool):
+    # 10 rows per input, over 2 x d_model = 8: the layer takes its Gram order,
+    # with a rank-2 target shared by a rank-3 source.  Inputs at scale 0.5 keep
+    # the summaries' softmaxes off saturation, where central differences drift.
+    rng = np.random.default_rng([seed, 12])
+    x_t, x_s = (Tensor(rng.standard_normal(shape) * 0.5) for shape in ((10, 4), (2, 10, 4)))
+    projs = [_param(rng, 4, 4) for _ in range(4)]
+    cq, ck = _param(rng, 1, 2), _param(rng, 1, 2)
+    head = AmlpCovParams(_param(rng, 1, 2), _param(rng, 1, 2), sigma1="identity")
+    probe = _t(rng, 2, 10, 4)
+
+    def f(wq, wk, wv, wo, a, b, xv):
+        heads = [AmlpCovParams(a, b), head]
+        out = multi_head_forward(xv, x_s, MultiHeadParams("cov", 2, wq, wk, wv, wo, heads))
+        return sum_all(T.mul(out, probe))
+
+    return _grad_check(f, [*projs, cq, ck, x_t], broken)
+
+
 def _check_grad_pquery(seed: int, broken: bool):
     rng = np.random.default_rng([seed, 6])
     q, k, v = _t(rng, 4, 4), _t(rng, 5, 4), _t(rng, 5, 4)
@@ -279,6 +300,7 @@ _PROPERTIES = [
     ("gradient_amlp_cov", _check_grad_cov),
     ("gradient_batched_amlp_cov", _check_grad_batched_cov),
     ("gradient_amlp_pquery", _check_grad_pquery),
+    ("gradient_multi_head_cov", _check_grad_multi_head_cov),
     ("low_rank_exact_recovery", _check_low_rank_exact),
     ("low_rank_dropped_mass", _check_low_rank_dropped),
     ("distance_vs_factored_attention", _check_distance_vs_factored),

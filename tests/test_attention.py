@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from attentive_mlp import attention
 from attentive_mlp.attention import (
     AmlpCovParams,
     AmlpPQueryParams,
@@ -633,6 +634,58 @@ class TestMultiHead:
         manual = np.concatenate(heads, axis=1) @ ws[3]
         np.testing.assert_allclose(out.data, manual, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    @pytest.mark.parametrize("layout", ["rank2-self", "rank3-self", "shared-target"])
+    @pytest.mark.parametrize("rows", [6, 20], ids=["direct", "gram"])
+    def test_cov_heads_match_manual_slices(self, sigma1, layout, rows):
+        # 6 rows sit below 2 x d_model = 16 and 20 above, so both orders run
+        rng = np.random.default_rng(34)
+        d_model, h, dh = 8, 2, 4
+        ws = [rng.standard_normal((d_model, d_model)) * d_model**-0.5 for _ in range(4)]
+        head_params = [cov_params(rng, 3, dh, sigma1) for _ in range(h)]
+        params = MultiHeadParams("cov", h, *(Tensor(w) for w in ws), head_params=head_params)
+        if layout == "shared-target":
+            x_t, x_s = rng.standard_normal((rows, d_model)), rng.standard_normal((3, rows + 1, d_model))
+            out = multi_head_forward(Tensor(x_t), Tensor(x_s), params)
+        else:
+            x_t = x_s = rng.standard_normal((rows, d_model) if layout == "rank2-self" else (3, rows, d_model))
+            x = Tensor(x_t)
+            out = multi_head_forward(x, x, params)
+
+        q, k, v = x_t @ ws[0], x_s @ ws[1], x_s @ ws[2]
+        heads = []
+        for i in range(h):
+            sl = slice(i * dh, (i + 1) * dh)
+            head_in = AttentionInputs(Tensor(q[..., sl]), Tensor(k[..., sl]), Tensor(v[..., sl]))
+            heads.append(amlp_cov_forward(head_in, head_params[i]).data)
+        manual = np.concatenate(heads, axis=-1) @ ws[3]
+        np.testing.assert_allclose(out.data, manual, rtol=0, atol=1e-12 * np.abs(manual).max())
+
+    @pytest.mark.parametrize(
+        "d_model, rows_t, rows_s, order",
+        [
+            (32, 12, 12, "direct"),  # the toy model's shapes
+            (8, 16, 16, "direct"),  # at the bound
+            (8, 40, 16, "direct"),  # only one input past it
+            (8, 17, 40, "gram"),
+        ],
+    )
+    def test_cov_order_follows_input_rows(self, monkeypatch, d_model, rows_t, rows_s, order):
+        calls = []
+        per_head = attention.amlp_cov_forward
+        monkeypatch.setattr(attention, "amlp_cov_forward", lambda *a: calls.append(1) or per_head(*a))
+        rng = np.random.default_rng(36)
+        h = 2
+        params = MultiHeadParams(
+            "cov",
+            h,
+            *(Tensor(rng.standard_normal((d_model, d_model)) * d_model**-0.5) for _ in range(4)),
+            head_params=[cov_params(rng, 2, d_model // h) for _ in range(h)],
+        )
+        x_t, x_s = (Tensor(rng.standard_normal((r, d_model))) for r in (rows_t, rows_s))
+        assert multi_head_forward(x_t, x_s, params).shape == (rows_t, d_model)
+        assert len(calls) == (h if order == "direct" else 0)
+
     def test_indivisible_heads_rejected(self):
         eye = Tensor(np.eye(6))
         with pytest.raises(ConfigError):
@@ -658,13 +711,15 @@ class TestBatchAxis:
             *(Tensor(rng.standard_normal((d_model, d_model)) * d_model**-0.5) for _ in range(4)),
             head_params=head_params,
         )
-        x_t = rng.standard_normal((5, d_model) if shared_target else (batch, 5, d_model))
-        x_s = rng.standard_normal((batch, 6, d_model))
-        out = multi_head_forward(Tensor(x_t), Tensor(x_s), params)
-        assert out.shape == (batch, 5, d_model)
-        for b in range(batch):
-            alone = multi_head_forward(Tensor(x_t if shared_target else x_t[b]), Tensor(x_s[b]), params)
-            np.testing.assert_allclose(out.data[b], alone.data, rtol=0, atol=1e-12)
+        # 5 and 6 rows run cov's direct order, 20 and 21 (over 2 x d_model) its Gram order
+        for rows in (5, 20):
+            x_t = rng.standard_normal((rows, d_model) if shared_target else (batch, rows, d_model))
+            x_s = rng.standard_normal((batch, rows + 1, d_model))
+            out = multi_head_forward(Tensor(x_t), Tensor(x_s), params)
+            assert out.shape == (batch, rows, d_model)
+            for b in range(batch):
+                alone = multi_head_forward(Tensor(x_t if shared_target else x_t[b]), Tensor(x_s[b]), params)
+                np.testing.assert_allclose(out.data[b], alone.data, rtol=0, atol=1e-12)
 
     def test_mismatched_batch_extents_rejected(self):
         with pytest.raises(DimensionError):
@@ -761,23 +816,31 @@ class TestModuleGradients:
         reports = finite_difference_check(f, [q, k, v], h=1e-4, tol=1e-4)
         assert all(r.passed for r in reports)
 
-    @pytest.mark.parametrize("mechanism", ["softmax", "cov", "pquery"])
-    def test_multi_head(self, mechanism):
+    @pytest.mark.parametrize(
+        "mechanism, rows",
+        [("softmax", 3), ("cov", 3), ("pquery", 3), ("cov", 10)],
+        ids=["softmax", "cov", "pquery", "cov-gram"],
+    )
+    def test_multi_head(self, mechanism, rows):
+        # 10 rows are over 2 x d_model = 8, where cov takes its Gram order
         rng = np.random.default_rng(40)
         d_model, h, dh = 4, 2, 2
-        x_t = Tensor(rng.standard_normal((3, d_model)) * d_model**-0.5)
-        x_s = Tensor(rng.standard_normal((4, d_model)) * d_model**-0.5)
-        probe = Tensor(rng.standard_normal((3, d_model)))
+        x_t = Tensor(rng.standard_normal((rows, d_model)) * d_model**-0.5)
+        x_s = Tensor(rng.standard_normal((rows + 1, d_model)) * d_model**-0.5)
+        probe = Tensor(rng.standard_normal((rows, d_model)))
         projs = [Tensor(rng.standard_normal((d_model, d_model)) * d_model**-0.5) for _ in range(4)]
         heads = []
         if mechanism == "cov":
             heads = [cov_params(rng, 2, dh) for _ in range(h)]
         elif mechanism == "pquery":
             heads = [pquery_params(rng, 2, dh) for _ in range(h)]
+        # cov heads' projections are differentiated too
+        head_leaves = [t for hp in heads if mechanism == "cov" for t in (hp.c_q, hp.c_k)]
 
-        def f(wq, wk, wv, wo):
-            params = MultiHeadParams(mechanism, h, wq, wk, wv, wo, head_params=heads)
+        def f(wq, wk, wv, wo, *cqk):
+            hps = [AmlpCovParams(cq, ck) for cq, ck in zip(cqk[::2], cqk[1::2])] or heads
+            params = MultiHeadParams(mechanism, h, wq, wk, wv, wo, head_params=hps)
             return sum_all(mul(multi_head_forward(x_t, x_s, params), probe))
 
-        reports = finite_difference_check(f, projs, h=1e-4, tol=1e-4)
+        reports = finite_difference_check(f, projs + head_leaves, h=1e-4, tol=1e-4)
         assert all(r.passed for r in reports), [(r.index, r.max_rel_err) for r in reports]
