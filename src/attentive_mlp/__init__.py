@@ -48,7 +48,6 @@ from .bench import (
     BenchRecord,
     SweepConfig,
     SweepRow,
-    amlp_cov_flops,
     fit_loglog_slope,
     iqr_filter,
     model_memory,

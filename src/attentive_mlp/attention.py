@@ -430,8 +430,7 @@ class MultiHeadParams:
 
     mechanism selects what each head runs: "softmax", "cov", or "pquery".
     head_params carries one AmlpCovParams/AmlpPQueryParams per head for the
-    adaptive variants and stays empty for softmax.  `scaled` applies only to
-    softmax heads.
+    adaptive variants and stays empty for softmax.
     """
 
     mechanism: str
@@ -441,7 +440,6 @@ class MultiHeadParams:
     w_v: object
     w_o: object
     head_params: list = field(default_factory=list)
-    scaled: bool = True
 
     def __post_init__(self):
         if self.mechanism not in ("softmax", "cov", "pquery"):
@@ -517,7 +515,7 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
             slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
         )
         if params.mechanism == "softmax":
-            out = softmax_attention(head_in, scaled=params.scaled)
+            out = softmax_attention(head_in)
         elif params.mechanism == "cov":
             out = amlp_cov_forward(head_in, params.head_params[i])
         else:

@@ -26,6 +26,7 @@ from .attention import (
     AmlpCovParams,
     AttentionInputs,
     ConfigError,
+    _check_sigma1,
     amlp_cov_forward,
     softmax_attention,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "SweepRow",
     "iqr_filter",
     "model_memory",
-    "amlp_cov_flops",
     "time_architecture",
     "sweep_inner_dimension",
     "run_and_report",
@@ -93,6 +93,7 @@ class BenchConfig:
                 raise ConfigError(f"unknown architecture {arch!r}")
         if self.batch < 1 or self.warmup < 0:
             raise ConfigError("batch must be >= 1 and warmup >= 0")
+        _check_sigma1(self.sigma1)
 
 
 @dataclass(frozen=True)
@@ -146,15 +147,6 @@ def model_memory(arch: str, n: int, m: int, d: int, c: int, h: int, batch: int) 
     if arch == "ar-causal-softmax":
         return batch * (n * d * 2 + n * h)
     raise ConfigError(f"unknown architecture {arch!r}")
-
-
-def amlp_cov_flops(n: int, m: int, d: int, c: int) -> int:
-    """Multiply-accumulate count of one covariance-variant forward.
-
-    Covariance stage (n + 2m) d^2, weight maps 3 c d^2, hidden and output
-    2 n c d, plus the elementwise softmax/activation terms.
-    """
-    return (n + 2 * m) * d * d + 3 * c * d * d + 2 * n * c * d + 3 * d * d + 2 * n * c
 
 
 def fit_loglog_slope(ns, ts) -> float:

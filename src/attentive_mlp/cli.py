@@ -12,9 +12,8 @@ import argparse
 import json
 import sys
 
-from .attention import ConfigError
+from .attention import SIGMA1_CHOICES, ConfigError
 from .bench import (
-    ARCHITECTURES,
     BenchConfig,
     SweepConfig,
     run_and_report,
@@ -22,6 +21,8 @@ from .bench import (
     sweep_to_csv,
 )
 from .narmodel import (
+    TASK_KINDS,
+    VARIANTS,
     InputError,
     NarConfig,
     NarModel,
@@ -53,53 +54,64 @@ def _parse_str_list(s: str) -> tuple:
     return tuple(part.strip() for part in s.split(",") if part.strip())
 
 
-# per-subcommand schema: name -> (converter, default)
-_BENCH_SCHEMA = {
-    "lengths": (_parse_int_list, (256, 512, 1024, 2048, 4096, 8192)),
-    "runs": (int, 100),
-    "batch": (int, 12),
-    "d": (int, 512),
-    "heads": (int, 8),
-    "c": (int, 64),
-    "sigma1": (str, "relu"),
-    "arch": (_parse_str_list, ARCHITECTURES),
-    "warmup": (int, 3),
-    "seed": (int, 0),
-    "out": (str, None),
-    "sweep": (_parse_int_list, None),
-    "sweep_n": (int, 8192),
-    "sweep_steps": (int, 3000),
+_SIGMA1_HELP = f"first-layer activation: {', '.join(SIGMA1_CHOICES)}"
+_TASK_HELP = f"synthetic task: {', '.join(TASK_KINDS)}"
+
+# One table per subcommand: key -> (converter, default, help).  Each key is both
+# a config-file key and the flag --<key> (with - for _); a flag beats the file,
+# which beats the default.  The library's config objects check every value.
+# The sweep trains the `train` command's default toy run, so train's defaults
+# come from NarConfig and SweepConfig.
+_BENCH = {
+    "lengths": (_parse_int_list, BenchConfig.lengths, "comma-separated lengths"),
+    "runs": (int, BenchConfig.runs, "timed repetitions per cell (>= 4)"),
+    "batch": (int, BenchConfig.batch, None),
+    "d": (int, BenchConfig.d_model, "model width"),
+    "heads": (int, BenchConfig.heads, None),
+    "c": (int, BenchConfig.c, "adaptive inner dimension"),
+    "sigma1": (str, BenchConfig.sigma1, _SIGMA1_HELP),
+    "arch": (_parse_str_list, BenchConfig.architectures, "comma-separated architectures"),
+    "warmup": (int, BenchConfig.warmup, None),
+    "seed": (int, BenchConfig.seed, "global random seed"),
+    "out": (str, None, "write CSV here instead of stdout"),
+    "sweep": (_parse_int_list, None, "inner dimensions to sweep"),
+    "sweep_n": (int, SweepConfig.n, "length for sweep timing"),
+    "sweep_steps": (int, SweepConfig.train_steps, "sweep training steps"),
 }
 
-_TRAIN_SCHEMA = {
-    "task": (str, "reverse"),
-    "variant": (str, "cov"),
-    "steps": (int, 1000),
-    "ckpt": (str, None),
-    "lr": (float, 0.2),
-    "batch_size": (int, 8),
-    "vocab": (int, 16),
-    "len": (int, 12),
-    "d_model": (int, 32),
-    "heads": (int, 2),
-    "c": (int, 8),
-    "sigma1": (str, "softmax"),
-    "beta": (float, 0.5),
-    "eval_samples": (int, 256),
-    "seed": (int, 0),
+_TRAIN = {
+    "task": (str, SweepConfig.task_kind, _TASK_HELP),
+    "variant": (str, NarConfig.variant, f"attention: {', '.join(VARIANTS)}"),
+    "steps": (int, 1000, None),
+    "ckpt": (str, None, "checkpoint path to write"),
+    "lr": (float, NarConfig.learning_rate, None),
+    "batch_size": (int, SweepConfig.train_batch, None),
+    "vocab": (int, NarConfig.vocab_size, None),
+    "len": (int, NarConfig.seq_len, "source and target length"),
+    "d_model": (int, NarConfig.d_model, None),
+    "heads": (int, NarConfig.heads, None),
+    "c": (int, NarConfig.c, None),
+    "sigma1": (str, NarConfig.sigma1, _SIGMA1_HELP),
+    "beta": (float, NarConfig.beta, None),
+    "eval_samples": (int, SweepConfig.eval_samples, None),
+    "seed": (int, NarConfig.seed, "global random seed"),
 }
 
-_EVAL_SCHEMA = {
-    "ckpt": (str, None),
-    "task": (str, "reverse"),
-    "eval_samples": (int, 256),
-    "seed": (int, None),
+_EVAL = {
+    "ckpt": (str, None, "checkpoint path to read"),
+    "task": (str, SweepConfig.task_kind, _TASK_HELP),
+    "eval_samples": (int, SweepConfig.eval_samples, None),
+    "seed": (int, None, "global random seed (default: the checkpoint's)"),
 }
 
-_VERIFY_SCHEMA = {
-    "json": (_parse_bool, False),
-    "break_gradients": (_parse_bool, False),
-    "seed": (int, 0),
+_VERIFY = {
+    "json": (_parse_bool, False, "machine-readable output"),
+    "break_gradients": (
+        _parse_bool,
+        False,
+        "negative control: perturb one backward rule so gradient checks fail",
+    ),
+    "seed": (int, 0, "global random seed"),
 }
 
 
@@ -116,20 +128,19 @@ def _read_config_file(path: str, schema: dict) -> dict:
             key = key.strip().replace("-", "_")
             if key not in schema:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            conv, _default = schema[key]
-            values[key] = conv(val.strip())
+            values[key] = schema[key][0](val.strip())
     return values
 
 
-def _effective(args: argparse.Namespace, schema: dict, parser) -> dict:
-    settings = {k: default for k, (_conv, default) in schema.items()}
+def _effective(args: argparse.Namespace, parser) -> dict:
+    settings = {k: default for k, (_conv, default, _help) in args.table.items()}
     if args.config:
         try:
-            settings.update(_read_config_file(args.config, schema))
+            settings.update(_read_config_file(args.config, args.table))
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
-    for key in schema:
-        flag_val = getattr(args, key, None)
+    for key in args.table:
+        flag_val = getattr(args, key)
         if flag_val is not None:
             settings[key] = flag_val
     return settings
@@ -158,8 +169,7 @@ def _write_out(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bench(args, parser) -> int:
-    s = _effective(args, _BENCH_SCHEMA, parser)
+def _cmd_bench(s, parser) -> int:
     _echo_config("bench", s)
     try:
         if s["sweep"] is not None:
@@ -194,9 +204,8 @@ def _cmd_bench(args, parser) -> int:
                 warmup=s["warmup"],
             )
             _records, csv_text, summary = run_and_report(config)
-    except (ConfigError, ContractError) as exc:
+    except ContractError as exc:  # BenchConfig's runs < 4
         parser.error(str(exc))
-        return 2
     if s["out"]:
         _write_out(s["out"], csv_text)
         print(summary, end="")
@@ -206,30 +215,25 @@ def _cmd_bench(args, parser) -> int:
     return 0
 
 
-def _cmd_train(args, parser) -> int:
-    s = _effective(args, _TRAIN_SCHEMA, parser)
+def _cmd_train(s, parser) -> int:
     _echo_config("train", s)
     for key in ("batch_size", "eval_samples"):
         if s[key] < 1:
             parser.error(f"{key} must be >= 1, got {s[key]}")
-    try:
-        config = NarConfig(
-            vocab_size=s["vocab"],
-            seq_len=s["len"],
-            source_len=s["len"],
-            d_model=s["d_model"],
-            heads=s["heads"],
-            c=s["c"],
-            variant=s["variant"],
-            sigma1=s["sigma1"],
-            beta=s["beta"],
-            learning_rate=s["lr"],
-            seed=s["seed"],
-        )
-        task = SyntheticTask(s["task"], vocab=s["vocab"], length=s["len"], seed=s["seed"] + 1)
-    except (ConfigError, ContractError, InputError) as exc:
-        parser.error(str(exc))
-        return 2
+    config = NarConfig(
+        vocab_size=s["vocab"],
+        seq_len=s["len"],
+        source_len=s["len"],
+        d_model=s["d_model"],
+        heads=s["heads"],
+        c=s["c"],
+        variant=s["variant"],
+        sigma1=s["sigma1"],
+        beta=s["beta"],
+        learning_rate=s["lr"],
+        seed=s["seed"],
+    )
+    task = SyntheticTask(s["task"], vocab=s["vocab"], length=s["len"], seed=s["seed"] + 1)
     model = NarModel(config)
     if s["steps"] > 0:
 
@@ -249,33 +253,22 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _cmd_eval(args, parser) -> int:
-    s = _effective(args, _EVAL_SCHEMA, parser)
+def _cmd_eval(s, parser) -> int:
     if s["ckpt"] is None:
         parser.error("eval needs --ckpt")
     if s["eval_samples"] < 1:
         parser.error(f"eval_samples must be >= 1, got {s['eval_samples']}")
-    try:
-        model = load_checkpoint(s["ckpt"])
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model = load_checkpoint(s["ckpt"])
     cfg = model.config
     if s["seed"] is None:
         s["seed"] = cfg.seed  # the split `train` evaluates on
     _echo_config("eval", s)
-    try:
-        task = SyntheticTask(s["task"], vocab=cfg.vocab_size, length=cfg.seq_len, seed=s["seed"] + 1)
-        accuracy = evaluate(model, task, s["eval_samples"])
-    except (ConfigError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"accuracy {accuracy:.4f}")
+    task = SyntheticTask(s["task"], vocab=cfg.vocab_size, length=cfg.seq_len, seed=s["seed"] + 1)
+    print(f"accuracy {evaluate(model, task, s['eval_samples']):.4f}")
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    s = _effective(args, _VERIFY_SCHEMA, parser)
+def _cmd_verify(s, parser) -> int:
     _echo_config("verify", s)
     results = run_verification(seed=s["seed"], break_gradients=s["break_gradients"])
     ok = all(r.passed for r in results)
@@ -299,10 +292,13 @@ def _cmd_verify(args, parser) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value config file; flags override it")
-    sub.add_argument("--seed", type=int, help="global random seed")
+# name -> (run, settings table, help)
+_COMMANDS = {
+    "bench": (_cmd_bench, _BENCH, "latency/memory benchmark over sequence lengths"),
+    "train": (_cmd_train, _TRAIN, "train the toy parallel-decoding model"),
+    "eval": (_cmd_eval, _EVAL, "evaluate a saved checkpoint on the toy task"),
+    "verify": (_cmd_verify, _VERIFY, "run the fast property suite"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -311,60 +307,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="adaptive-MLP attention: benchmarks, toy training, verification",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    b = subs.add_parser("bench", help="latency/memory benchmark over sequence lengths")
-    _add_common(b)
-    b.add_argument("--lengths", type=_parse_int_list, help="comma-separated lengths")
-    b.add_argument("--runs", type=int, help="timed repetitions per cell (>= 4)")
-    b.add_argument("--batch", type=int)
-    b.add_argument("--d", type=int, help="model width")
-    b.add_argument("--heads", type=int)
-    b.add_argument("--c", type=int, help="adaptive inner dimension")
-    b.add_argument("--sigma1", choices=("softmax", "relu", "identity"))
-    b.add_argument("--arch", type=_parse_str_list, help="comma-separated architectures")
-    b.add_argument("--warmup", type=int)
-    b.add_argument("--out", help="write CSV here instead of stdout")
-    b.add_argument("--sweep", type=_parse_int_list, help="inner dimensions to sweep")
-    b.add_argument("--sweep-n", dest="sweep_n", type=int, help="length for sweep timing")
-    b.add_argument("--sweep-steps", dest="sweep_steps", type=int, help="sweep training steps")
-    b.set_defaults(func=_cmd_bench)
-
-    t = subs.add_parser("train", help="train the toy parallel-decoding model")
-    _add_common(t)
-    t.add_argument("--task", choices=("copy", "reverse"))
-    t.add_argument("--variant", choices=("cov", "pquery", "softmax"))
-    t.add_argument("--steps", type=int)
-    t.add_argument("--ckpt", help="checkpoint path to write")
-    t.add_argument("--lr", type=float)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--vocab", type=int)
-    t.add_argument("--len", type=int, help="source and target length")
-    t.add_argument("--d-model", dest="d_model", type=int)
-    t.add_argument("--heads", type=int)
-    t.add_argument("--c", type=int)
-    t.add_argument("--sigma1", choices=("softmax", "relu", "identity"))
-    t.add_argument("--beta", type=float)
-    t.add_argument("--eval-samples", dest="eval_samples", type=int)
-    t.set_defaults(func=_cmd_train)
-
-    e = subs.add_parser("eval", help="evaluate a saved checkpoint on the toy task")
-    _add_common(e)
-    e.add_argument("--ckpt", help="checkpoint path to read")
-    e.add_argument("--task", choices=("copy", "reverse"))
-    e.add_argument("--eval-samples", dest="eval_samples", type=int)
-    e.set_defaults(func=_cmd_eval)
-
-    v = subs.add_parser("verify", help="run the fast property suite")
-    _add_common(v)
-    v.add_argument("--json", action="store_const", const=True, help="machine-readable output")
-    v.add_argument(
-        "--break-gradients",
-        dest="break_gradients",
-        action="store_const",
-        const=True,
-        help="negative control: perturb one backward rule so gradient checks fail",
-    )
-    v.set_defaults(func=_cmd_verify)
+    for name, (run, table, about) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=about)
+        sub.add_argument("--config", help="key=value config file; flags override it")
+        for key, (conv, _default, help_text) in table.items():
+            flag = "--" + key.replace("_", "-")
+            if conv is _parse_bool:
+                sub.add_argument(flag, action="store_const", const=True, help=help_text)
+            else:
+                sub.add_argument(flag, type=conv, help=help_text)
+        sub.set_defaults(func=run, table=table)
     return parser
 
 
@@ -372,8 +324,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except OSError as exc:
+        return args.func(_effective(args, parser), parser)
+    except ConfigError as exc:  # a setting the library rejects, from a flag or a file
+        parser.error(str(exc))
+    except (ContractError, InputError, MemoryError, OSError) as exc:  # a run that failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,7 @@ any logging, probing or early stopping a caller needs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .attention import (
     AmlpPQueryParams,
     ConfigError,
     MultiHeadParams,
+    _check_sigma1,
     mlp_forward,
     multi_head_forward,
 )
@@ -50,6 +52,7 @@ __all__ = [
 ]
 
 VARIANTS = ("cov", "pquery", "softmax")
+TASK_KINDS = ("copy", "reverse")
 
 # sources decoded per forward by `evaluate`; bounds its activation memory
 EVAL_BATCH = 1024
@@ -83,6 +86,14 @@ class NarConfig:
             raise ConfigError(f"need 1 <= c <= d_model/heads, got c={self.c}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        _check_sigma1(self.sigma1)
+        if not (0.0 <= self.beta <= 1.0):
+            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
+        for name in ("vocab_size", "seq_len", "source_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,8 @@ class SyntheticTask:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("copy", "reverse"):
-            raise ConfigError(f"task kind must be copy or reverse, got {self.kind!r}")
+        if self.kind not in TASK_KINDS:
+            raise ConfigError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
 
     def _target(self, source: np.ndarray) -> np.ndarray:
         return source.copy() if self.kind == "copy" else source[::-1].copy()
@@ -198,7 +209,7 @@ class NarModel:
                 for j in range(cfg.heads)
             ]
         mh = MultiHeadParams(
-            mechanism="softmax" if cfg.variant == "softmax" else cfg.variant,
+            mechanism=cfg.variant,
             heads=cfg.heads,
             w_q=p[f"{block}.wq"],
             w_k=p[f"{block}.wk"],

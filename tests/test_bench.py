@@ -22,7 +22,6 @@ from attentive_mlp.bench import (
     BenchConfig,
     BenchRecord,
     CSV_HEADER,
-    amlp_cov_flops,
     fit_loglog_slope,
     iqr_filter,
     model_memory,
@@ -176,14 +175,6 @@ class TestAvailableMemory:
         assert _available_memory_bytes(str(tmp_path)) is None
 
 
-class TestFlopAccounting:
-    def test_doubling_both_lengths_at_most_doubles(self):
-        for n, m in ((256, 256), (300, 512), (1024, 256)):
-            for d, c in ((64, 16), (128, 64)):
-                ratio = amlp_cov_flops(2 * n, 2 * m, d, c) / amlp_cov_flops(n, m, d, c)
-                assert ratio <= 2.05
-
-
 class TestBenchRunsLibrary:
     CFG = BenchConfig(lengths=(9,), batch=2, runs=4, d_model=12, heads=2, c=3, warmup=0)
 
@@ -243,6 +234,10 @@ class TestBenchConfig:
     def test_lengths_must_increase(self):
         with pytest.raises(ConfigError):
             BenchConfig(lengths=(256, 256))
+
+    def test_unknown_sigma1(self):
+        with pytest.raises(ConfigError, match="sigma1"):
+            BenchConfig(sigma1="bogus")
 
     def test_unknown_architecture(self):
         with pytest.raises(ConfigError):

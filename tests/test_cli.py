@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from attentive_mlp import bench, cli
 from attentive_mlp.bench import BenchConfig
 from attentive_mlp.cli import main
 from attentive_mlp.narmodel import load_checkpoint
@@ -213,8 +214,9 @@ class TestEvalCommand:
             lambda lines: lines[:2] + [" ".join(lines[2].split(" ")[:3])] + lines[3:],
             lambda lines: lines[:2] + [lines[2][:-2] + "zz"] + lines[3:],
             lambda lines: [lines[0], lines[1].replace('"beta"', '"bogus": 1, "beta"')] + lines[2:],
+            lambda lines: [lines[0], lines[1].replace('"beta": 0.5', '"beta": 2.0')] + lines[2:],
         ],
-        ids=["magic_only", "short_param", "bad_hex", "unknown_key"],
+        ids=["magic_only", "short_param", "bad_hex", "unknown_key", "bad_beta"],
     )
     def test_malformed_checkpoint_is_one_line_error(self, tmp_path, capsys, corrupt):
         ckpt = tmp_path / "m.ckpt"
@@ -262,3 +264,98 @@ class TestVerifyCommand:
         # every gradient property fails, and only those
         results = [line.split(":", 1)[0].split() for line in stdout.splitlines()]
         assert all((status == "FAIL") == name.startswith("gradient_") for status, name in results)
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+class TestSettings:
+    """Each key of a settings table is a flag and a config-file key, checked once by the library."""
+
+    SAMPLE = {
+        int: "5",
+        float: "0.25",
+        str: "x",
+        cli._parse_int_list: "4,8",
+        cli._parse_str_list: "nar-amlp",
+        cli._parse_bool: "true",
+    }
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [(name, key) for name, (_run, table, _help) in cli._COMMANDS.items() for key in table],
+    )
+    def test_key_works_as_flag_and_config_key(self, command, key, tmp_path):
+        parser = cli._build_parser()
+        conv = cli._COMMANDS[command][1][key][0]
+        value = self.SAMPLE[conv]
+        flag = "--" + key.replace("_", "-")
+        by_flag = parser.parse_args([command, flag] if conv is cli._parse_bool else [command, flag, value])
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        by_file = parser.parse_args([command, "--config", str(cfg)])
+        for args in (by_flag, by_file):
+            assert cli._effective(args, parser)[key] == conv(value)
+
+    BASE = {
+        "bench": {
+            "lengths": "16", "arch": "nar-softmax", "runs": "4", "batch": "1",
+            "d": "8", "heads": "1", "c": "2", "warmup": "0",
+        },
+        "train": {
+            "task": "copy", "steps": "1", "vocab": "7", "len": "4", "d_model": "8",
+            "heads": "2", "c": "2", "batch_size": "2", "eval_samples": "16",
+        },
+    }
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("bench", {"sigma1": "bogus"}),
+            ("train", {"sigma1": "bogus"}),
+            ("train", {"variant": "pquery", "beta": "2.0"}),
+            ("train", {"len": "0"}),
+            ("train", {"vocab": "0"}),
+            ("train", {"lr": "nan"}),
+        ],
+        ids=["bench-sigma1", "train-sigma1", "beta", "len", "vocab", "lr"],
+    )
+    def test_bad_setting_is_one_line_usage_error(self, command, bad, source, tmp_path, capsys):
+        settings = {**self.BASE[command], **bad}
+        if source == "flag":
+            argv = [command] + [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+            argv = [command, "--config", str(cfg)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert _error_lines(err) == [err.splitlines()[-1]]
+
+
+class TestRuntimeFailures:
+    def test_diverging_training_is_one_line_error(self, capsys):
+        code, _, stderr = run_cli(
+            ["train", "--task", "copy", "--lr", "1e6", "--steps", "50"] + TINY_TRAIN, capsys
+        )
+        assert code == 1
+        assert _error_lines(stderr) == ["error: tensor contains NaN or Inf"]
+
+    def test_sweep_memory_refusal_is_one_line_error(self, monkeypatch, capsys):
+        # a fixed 1 MiB budget keeps the refusal independent of the host
+        monkeypatch.setattr(bench, "_available_memory_bytes", lambda _root="/": 1 << 20)
+        code, stdout, stderr = run_cli(
+            [
+                "bench", "--sweep", "4", "--sweep-n", "100000000", "--d", "32",
+                "--heads", "2", "--batch", "4", "--runs", "4",
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert _error_lines(stderr) == ["error: sweep cell c=4 does not fit in memory"]

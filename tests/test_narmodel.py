@@ -46,6 +46,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NarConfig(variant="nope")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma1", "bogus"),
+            ("beta", 2.0),
+            ("beta", -0.1),
+            ("beta", float("nan")),
+            ("vocab_size", 0),
+            ("seq_len", 0),
+            ("source_len", 0),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+        ],
+    )
+    def test_rejects_bad_setting(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            NarConfig(**{field: value})
+
 
 class TestForward:
     def test_logits_shape(self):
