@@ -44,16 +44,15 @@ from .narmodel import (
 )
 from .bench import (
     ARCHITECTURES,
+    SWEEP_CONFIG,
     BenchConfig,
     BenchRecord,
-    SweepConfig,
     SweepRow,
     fit_loglog_slope,
     iqr_filter,
     model_memory,
     run_and_report,
     sweep_inner_dimension,
-    time_architecture,
 )
 from .verify import PropertyResult, run_verification
 

@@ -9,11 +9,15 @@ README) and measured with tracemalloc where the platform allows.
 
 Each cell times the library forward itself, with no tape: ``softmax_attention``,
 ``amlp_cov_forward``, and a decode loop that runs ``softmax_attention`` on one
-query row against the cache prefix.
+query row against the cache prefix.  ``run_and_report`` times the paper's grid
+over lengths, ``sweep_inner_dimension`` the adaptive forward over inner
+dimensions c (shape ``SWEEP_CONFIG``) next to each c's toy-task accuracy.  Both
+time one architecture's cells round-robin after a single warm-up.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
@@ -30,18 +34,25 @@ from .attention import (
     amlp_cov_forward,
     softmax_attention,
 )
-from .narmodel import NarConfig, NarModel, SyntheticTask, evaluate, train
+from .narmodel import (
+    DEFAULT_EVAL_SAMPLES,
+    DEFAULT_TASK,
+    NarConfig,
+    NarModel,
+    SyntheticTask,
+    evaluate,
+    train,
+)
 from .tensor import ContractError, Tensor
 
 __all__ = [
     "ARCHITECTURES",
     "BenchConfig",
     "BenchRecord",
-    "SweepConfig",
+    "SWEEP_CONFIG",
     "SweepRow",
     "iqr_filter",
     "model_memory",
-    "time_architecture",
     "sweep_inner_dimension",
     "run_and_report",
     "fit_loglog_slope",
@@ -79,7 +90,7 @@ class BenchConfig:
 
     def __post_init__(self):
         if self.runs < 4:
-            raise ContractError(f"quartile filtering needs runs >= 4, got {self.runs}")
+            raise ConfigError(f"quartile filtering needs runs >= 4, got {self.runs}")
         if not self.lengths or any(
             b <= a for a, b in zip(self.lengths, self.lengths[1:])
         ) or min(self.lengths) < 1:
@@ -88,6 +99,8 @@ class BenchConfig:
             raise ConfigError(f"heads={self.heads} must divide d_model={self.d_model}")
         if not (1 <= self.c <= self.d_model // self.heads):
             raise ConfigError(f"need 1 <= c <= d_model/heads, got c={self.c}")
+        if not self.architectures:
+            raise ConfigError("architectures must not be empty")
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")
@@ -265,12 +278,15 @@ def _cgroup_memory_max(root: str) -> int | None:
     return int(value) if value.isdigit() else None  # "max" means no limit
 
 
+def _input_bytes(config: BenchConfig, n: int) -> int:
+    return 8 * 3 * config.batch * n * config.d_model
+
+
 def _workload_bytes(config: BenchConfig, arch: str, n: int) -> int:
     modeled = model_memory(
         arch, n, n, config.d_model, config.c, config.heads, config.batch
     )
-    inputs = 3 * config.batch * n * config.d_model
-    return 8 * (modeled + inputs)
+    return 8 * modeled + _input_bytes(config, n)
 
 
 def _measure_peak_bytes(config: BenchConfig, arch: str, n: int) -> int | None:
@@ -306,47 +322,49 @@ def _measure_peak_bytes(config: BenchConfig, arch: str, n: int) -> int | None:
         return None
 
 
-def time_architecture(arch: str, n: int, config: BenchConfig) -> BenchRecord:
-    """Warm up, time `runs` repeats on a monotonic clock, quartile-filter.
+def _time_cells(arch: str, cells, refuse: str | None = None) -> list:
+    """Time one architecture's (config, n) cells round by round, after one warm-up.
 
-    Cells whose working set cannot fit in memory are returned infeasible
-    rather than raising, so a sweep over lengths can continue.
+    A cell fits when the inputs of the cells kept before it plus its own
+    working set (`_workload_bytes`), times _MEM_SAFETY, fit in available
+    memory.  A cell that does not gets None instead of its samples, or, when
+    `refuse` is given, raises MemoryError(refuse.format(c=config.c)) before
+    anything runs.  All cells have the same runs and warmup; with no cell
+    kept nothing runs, not even the warm-up.
     """
-    if arch not in ARCHITECTURES:
-        raise ConfigError(f"unknown architecture {arch!r}")
-    modeled = model_memory(arch, n, n, config.d_model, config.c, config.heads, config.batch)
-    infeasible = BenchRecord(
-        arch=arch,
-        n=n,
-        batch=config.batch,
-        runs=config.runs,
-        kept=0,
-        mean_latency_s=None,
-        modeled_elems=modeled,
-        measured_peak_bytes=None,
-        feasible=False,
-    )
     avail = _available_memory_bytes()
-    if avail is not None and _workload_bytes(config, arch, n) * _MEM_SAFETY > avail:
-        return infeasible
+    resident, kept = 0, []
+    for config, n in cells:
+        need = (resident + _workload_bytes(config, arch, n)) * _MEM_SAFETY
+        try:
+            if avail is not None and need > avail:
+                raise MemoryError(refuse and refuse.format(c=config.c))
+            kept.append(_make_inputs(config, arch, n))
+            resident += _input_bytes(config, n)
+        except MemoryError:
+            if refuse is not None:
+                raise
+            kept.append(None)
+    live = [args for args in kept if args is not None]
     try:
-        args = _make_inputs(config, arch, n)
-        (samples,) = _time_interleaved(arch, [args], config.runs, config.warmup)
+        samples = iter(_time_interleaved(arch, live, config.runs, config.warmup) if live else ())
     except MemoryError:
-        return infeasible
-    kept, mean = iqr_filter(samples)
-    del args
-    peak = _measure_peak_bytes(config, arch, n)
+        if refuse is not None:
+            raise
+        kept = [None] * len(kept)
+    return [None if args is None else next(samples) for args in kept]
+
+
+def _record(config: BenchConfig, arch: str, n: int, samples) -> BenchRecord:
+    """The CSV row of one grid cell; a cell without samples did not fit in memory."""
+    modeled = model_memory(arch, n, n, config.d_model, config.c, config.heads, config.batch)
+    if samples is None:
+        kept, mean, peak = [], None, None
+    else:
+        kept, mean = iqr_filter(samples)
+        peak = _measure_peak_bytes(config, arch, n)
     return BenchRecord(
-        arch=arch,
-        n=n,
-        batch=config.batch,
-        runs=config.runs,
-        kept=len(kept),
-        mean_latency_s=mean,
-        modeled_elems=modeled,
-        measured_peak_bytes=peak,
-        feasible=True,
+        arch, n, config.batch, config.runs, len(kept), mean, modeled, peak, samples is not None
     )
 
 
@@ -382,15 +400,17 @@ def records_to_csv(records) -> str:
 def run_and_report(config: BenchConfig) -> tuple[list[BenchRecord], str, str]:
     """Measure every (architecture, length) cell; return records, CSV, summary.
 
+    Each architecture's lengths are timed round-robin after one warm-up (see
+    `_time_cells`); a length that does not fit in memory is recorded infeasible.
+
     The summary lists per-length speedups relative to the causal architecture
     (when it was measured) and the fitted log-log latency slope per
     architecture.
     """
-    records = [
-        time_architecture(arch, n, config)
-        for arch in config.architectures
-        for n in config.lengths
-    ]
+    records = []
+    for arch in config.architectures:
+        samples = _time_cells(arch, [(config, n) for n in config.lengths])
+        records += [_record(config, arch, n, s) for n, s in zip(config.lengths, samples)]
     by_arch: dict[str, dict[int, BenchRecord]] = {}
     for r in records:
         by_arch.setdefault(r.arch, {})[r.n] = r
@@ -425,27 +445,15 @@ def run_and_report(config: BenchConfig) -> tuple[list[BenchRecord], str, str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Timing and toy-task settings for the inner-dimension trade-off sweep."""
+# The sweep's timing shape; each cell replaces c (1 fits any head width).
+SWEEP_CONFIG = BenchConfig(
+    lengths=(8192,), batch=4, runs=25, d_model=32, heads=2, c=1, sigma1="relu",
+    architectures=("nar-amlp",),
+)
 
-    d_model: int = 32
-    heads: int = 2
-    n: int = 8192
-    batch: int = 4
-    runs: int = 25
-    warmup: int = 3
-    sigma1: str = "relu"
-    seed: int = 0
-    task_kind: str = "reverse"
-    vocab: int = 16
-    length: int = 12
-    train_steps: int = 3000
-    train_batch: int = 8
-    learning_rate: float = 0.2
-    eval_samples: int = 256
-    stop_accuracy: float = 0.97
-    probe_every: int = 250
+# The toy run is probed this often and stops once its best accuracy reaches this.
+_PROBE_EVERY = 250
+_STOP_ACCURACY = 0.97
 
 
 @dataclass(frozen=True)
@@ -455,72 +463,47 @@ class SweepRow:
     accuracy: float
 
 
-def _train_toy_accuracy(c: int, cfg: SweepConfig) -> float:
-    nar = NarConfig(
-        vocab_size=cfg.vocab,
-        seq_len=cfg.length,
-        source_len=cfg.length,
-        d_model=cfg.d_model,
-        heads=cfg.heads,
-        c=c,
-        variant="cov",
-        learning_rate=cfg.learning_rate,
-        seed=cfg.seed,
-    )
-    model = NarModel(nar)
-    task = SyntheticTask(cfg.task_kind, vocab=cfg.vocab, length=cfg.length, seed=cfg.seed + 1)
+def _train_toy_accuracy(c: int, config: BenchConfig, steps: int) -> float:
+    """Best reverse-task accuracy of `NarConfig`'s default run at inner dimension c.
+
+    The model takes the sweep's width, heads and seed, so every swept c fits it.
+    """
+    model = NarModel(NarConfig(d_model=config.d_model, heads=config.heads, c=c, seed=config.seed))
+    nar = model.config
+    task = SyntheticTask(DEFAULT_TASK, vocab=nar.vocab_size, length=nar.seq_len, seed=nar.seed + 1)
     best = 0.0
 
     def probe(step, _loss):
         nonlocal best
-        if step % cfg.probe_every == 0:
-            best = max(best, evaluate(model, task, cfg.eval_samples))
-            return best >= cfg.stop_accuracy
+        if step % _PROBE_EVERY == 0:
+            best = max(best, evaluate(model, task, DEFAULT_EVAL_SAMPLES))
+            return best >= _STOP_ACCURACY
         return False
 
-    steps = len(train(model, task, cfg.train_steps, cfg.train_batch, on_step=probe))
-    if steps and steps % cfg.probe_every == 0:
+    taken = len(train(model, task, steps, on_step=probe))
+    if taken and taken % _PROBE_EVERY == 0:
         return best  # the probe has just evaluated these weights
-    return max(best, evaluate(model, task, cfg.eval_samples))
+    return max(best, evaluate(model, task, DEFAULT_EVAL_SAMPLES))
 
 
-def sweep_inner_dimension(cs, config: SweepConfig) -> list[SweepRow]:
+def sweep_inner_dimension(
+    cs=(4, 8, 16), config: BenchConfig = SWEEP_CONFIG, steps: int = 3000
+) -> list[SweepRow]:
     """For each inner dimension c: adaptive-forward latency plus toy-task accuracy.
 
-    The latency cells are timed round by round against each other (see
-    `_time_interleaved`), so their ratios do not depend on when each ran.
+    The latency cells, `config` with c replaced at its first length, are timed
+    round by round against each other (see `_time_cells`) before any training,
+    so their ratios do not depend on when each ran.  A cell that does not fit
+    in memory raises MemoryError.
     """
-    dh = config.d_model // config.heads
-    for c in cs:
-        if not (1 <= c <= dh):
-            raise ConfigError(f"inner dimension {c} exceeds the per-head width {dh}")
-    avail = _available_memory_bytes()
-    need = 0
-    cells = []
-    for c in cs:
-        bench = BenchConfig(
-            lengths=(config.n,),
-            batch=config.batch,
-            runs=config.runs,
-            d_model=config.d_model,
-            heads=config.heads,
-            c=c,
-            sigma1=config.sigma1,
-            architectures=("nar-amlp",),
-            seed=config.seed,
-            warmup=config.warmup,
-        )
-        need += _workload_bytes(bench, "nar-amlp", config.n)
-        if avail is not None and need * _MEM_SAFETY > avail:
-            raise MemoryError(f"sweep cell c={c} does not fit in memory")
-        cells.append(_make_inputs(bench, "nar-amlp", config.n))
-    samples = _time_interleaved("nar-amlp", cells, config.runs, config.warmup)
-    del cells
-    rows = []
-    for c, cell_samples in zip(cs, samples):
-        _, mean = iqr_filter(cell_samples)
-        rows.append(SweepRow(c=c, mean_latency_s=mean, accuracy=_train_toy_accuracy(c, config)))
-    return rows
+    if not cs:
+        raise ConfigError("the sweep needs at least one inner dimension")
+    cells = [(dataclasses.replace(config, c=c), config.lengths[0]) for c in cs]
+    samples = _time_cells("nar-amlp", cells, refuse="sweep cell c={c} does not fit in memory")
+    return [
+        SweepRow(c, iqr_filter(cell)[1], _train_toy_accuracy(c, config, steps))
+        for c, cell in zip(cs, samples)
+    ]
 
 
 def sweep_to_csv(rows) -> str:

@@ -9,18 +9,22 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
 
 from .attention import SIGMA1_CHOICES, ConfigError
 from .bench import (
+    SWEEP_CONFIG,
     BenchConfig,
-    SweepConfig,
     run_and_report,
     sweep_inner_dimension,
     sweep_to_csv,
 )
 from .narmodel import (
+    DEFAULT_EVAL_SAMPLES,
+    DEFAULT_TASK,
     TASK_KINDS,
     VARIANTS,
     InputError,
@@ -54,17 +58,21 @@ def _parse_str_list(s: str) -> tuple:
     return tuple(part.strip() for part in s.split(",") if part.strip())
 
 
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
 _SIGMA1_HELP = f"first-layer activation: {', '.join(SIGMA1_CHOICES)}"
 _TASK_HELP = f"synthetic task: {', '.join(TASK_KINDS)}"
 
 # One table per subcommand: key -> (converter, default, help).  Each key is both
 # a config-file key and the flag --<key> (with - for _); a flag beats the file,
 # which beats the default.  The library's config objects check every value.
-# The sweep trains the `train` command's default toy run, so train's defaults
-# come from NarConfig and SweepConfig.
+# Defaults are read from the library: BenchConfig, SWEEP_CONFIG (the sweep's
+# timing shape), NarConfig, and the signatures of train and the sweep.
 _BENCH = {
     "lengths": (_parse_int_list, BenchConfig.lengths, "comma-separated lengths"),
-    "runs": (int, BenchConfig.runs, "timed repetitions per cell (>= 4)"),
+    "runs": (int, BenchConfig.runs, "timed repetitions per cell, at least 4"),
     "batch": (int, BenchConfig.batch, None),
     "d": (int, BenchConfig.d_model, "model width"),
     "heads": (int, BenchConfig.heads, None),
@@ -74,18 +82,29 @@ _BENCH = {
     "warmup": (int, BenchConfig.warmup, None),
     "seed": (int, BenchConfig.seed, "global random seed"),
     "out": (str, None, "write CSV here instead of stdout"),
-    "sweep": (_parse_int_list, None, "inner dimensions to sweep"),
-    "sweep_n": (int, SweepConfig.n, "length for sweep timing"),
-    "sweep_steps": (int, SweepConfig.train_steps, "sweep training steps"),
+}
+
+_SWEEP = {
+    "c": (_parse_int_list, _default(sweep_inner_dimension, "cs"), "comma-separated inner dims"),
+    "n": (int, SWEEP_CONFIG.lengths[0], "length of each timed cell"),
+    "steps": (int, _default(sweep_inner_dimension, "steps"), "toy training steps per c"),
+    "runs": (int, SWEEP_CONFIG.runs, "timed repetitions per cell, at least 4"),
+    "batch": (int, SWEEP_CONFIG.batch, None),
+    "d": (int, SWEEP_CONFIG.d_model, "model width"),
+    "heads": (int, SWEEP_CONFIG.heads, None),
+    "sigma1": (str, SWEEP_CONFIG.sigma1, _SIGMA1_HELP),
+    "warmup": (int, SWEEP_CONFIG.warmup, None),
+    "seed": (int, SWEEP_CONFIG.seed, "global random seed"),
+    "out": (str, None, "write CSV here instead of stdout"),
 }
 
 _TRAIN = {
-    "task": (str, SweepConfig.task_kind, _TASK_HELP),
+    "task": (str, DEFAULT_TASK, _TASK_HELP),
     "variant": (str, NarConfig.variant, f"attention: {', '.join(VARIANTS)}"),
     "steps": (int, 1000, None),
     "ckpt": (str, None, "checkpoint path to write"),
     "lr": (float, NarConfig.learning_rate, None),
-    "batch_size": (int, SweepConfig.train_batch, None),
+    "batch_size": (int, _default(train, "batch_size"), None),
     "vocab": (int, NarConfig.vocab_size, None),
     "len": (int, NarConfig.seq_len, "source and target length"),
     "d_model": (int, NarConfig.d_model, None),
@@ -93,14 +112,14 @@ _TRAIN = {
     "c": (int, NarConfig.c, None),
     "sigma1": (str, NarConfig.sigma1, _SIGMA1_HELP),
     "beta": (float, NarConfig.beta, None),
-    "eval_samples": (int, SweepConfig.eval_samples, None),
+    "eval_samples": (int, DEFAULT_EVAL_SAMPLES, None),
     "seed": (int, NarConfig.seed, "global random seed"),
 }
 
 _EVAL = {
     "ckpt": (str, None, "checkpoint path to read"),
-    "task": (str, SweepConfig.task_kind, _TASK_HELP),
-    "eval_samples": (int, SweepConfig.eval_samples, None),
+    "task": (str, DEFAULT_TASK, _TASK_HELP),
+    "eval_samples": (int, DEFAULT_EVAL_SAMPLES, None),
     "seed": (int, None, "global random seed (default: the checkpoint's)"),
 }
 
@@ -146,11 +165,13 @@ def _effective(args: argparse.Namespace, parser) -> dict:
     return settings
 
 
+def _render(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _echo_config(name: str, settings: dict) -> None:
     rendered = " ".join(
-        f"{k}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
-        for k, v in sorted(settings.items())
-        if v is not None
+        f"{k}={_render(v)}" for k, v in sorted(settings.items()) if v is not None
     )
     print(f"{name} config: {rendered}", file=sys.stderr)
     print(f"seed: {settings['seed']}", file=sys.stderr)
@@ -169,49 +190,39 @@ def _write_out(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_bench(s, parser) -> int:
-    _echo_config("bench", s)
-    try:
-        if s["sweep"] is not None:
-            sweep = SweepConfig(
-                d_model=s["d"],
-                heads=s["heads"],
-                n=s["sweep_n"],
-                batch=s["batch"],
-                runs=s["runs"],
-                warmup=s["warmup"],
-                sigma1=s["sigma1"],
-                seed=s["seed"],
-                train_steps=s["sweep_steps"],
-            )
-            rows = sweep_inner_dimension(s["sweep"], sweep)
-            csv_text = sweep_to_csv(rows)
-            summary = "\n".join(
-                f"c={r.c}: latency {r.mean_latency_s:.6f}s accuracy {r.accuracy:.4f}"
-                for r in rows
-            ) + "\n"
-        else:
-            config = BenchConfig(
-                lengths=s["lengths"],
-                batch=s["batch"],
-                runs=s["runs"],
-                d_model=s["d"],
-                heads=s["heads"],
-                c=s["c"],
-                sigma1=s["sigma1"],
-                architectures=s["arch"],
-                seed=s["seed"],
-                warmup=s["warmup"],
-            )
-            _records, csv_text, summary = run_and_report(config)
-    except ContractError as exc:  # BenchConfig's runs < 4
-        parser.error(str(exc))
+def _emit(s, csv_text: str, summary: str) -> None:
+    """CSV to --out with the summary on stdout, or CSV on stdout and the summary on stderr."""
     if s["out"]:
         _write_out(s["out"], csv_text)
         print(summary, end="")
     else:
         print(csv_text, end="")
         print(summary, end="", file=sys.stderr)
+
+
+def _cmd_bench(s, parser) -> int:
+    _echo_config("bench", s)
+    config = BenchConfig(
+        lengths=s["lengths"], batch=s["batch"], runs=s["runs"], d_model=s["d"],
+        heads=s["heads"], c=s["c"], sigma1=s["sigma1"], architectures=s["arch"],
+        seed=s["seed"], warmup=s["warmup"],
+    )
+    _records, csv_text, summary = run_and_report(config)
+    _emit(s, csv_text, summary)
+    return 0
+
+
+def _cmd_sweep(s, parser) -> int:
+    _echo_config("sweep", s)
+    config = dataclasses.replace(
+        SWEEP_CONFIG, lengths=(s["n"],), batch=s["batch"], runs=s["runs"], d_model=s["d"],
+        heads=s["heads"], sigma1=s["sigma1"], seed=s["seed"], warmup=s["warmup"],
+    )
+    rows = sweep_inner_dimension(s["c"], config, s["steps"])
+    summary = "".join(
+        f"c={r.c}: latency {r.mean_latency_s:.6f}s accuracy {r.accuracy:.4f}\n" for r in rows
+    )
+    _emit(s, sweep_to_csv(rows), summary)
     return 0
 
 
@@ -295,6 +306,7 @@ def _cmd_verify(s, parser) -> int:
 # name -> (run, settings table, help)
 _COMMANDS = {
     "bench": (_cmd_bench, _BENCH, "latency/memory benchmark over sequence lengths"),
+    "sweep": (_cmd_sweep, _SWEEP, "adaptive latency and toy-task accuracy over inner dimensions"),
     "train": (_cmd_train, _TRAIN, "train the toy parallel-decoding model"),
     "eval": (_cmd_eval, _EVAL, "evaluate a saved checkpoint on the toy task"),
     "verify": (_cmd_verify, _VERIFY, "run the fast property suite"),
@@ -310,8 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (run, table, about) in _COMMANDS.items():
         sub = subs.add_parser(name, help=about)
         sub.add_argument("--config", help="key=value config file; flags override it")
-        for key, (conv, _default, help_text) in table.items():
+        for key, (conv, default, help_text) in table.items():
             flag = "--" + key.replace("_", "-")
+            if default is not None:
+                help_text = f"{help_text or ''} (default: {_render(default)})".lstrip()
             if conv is _parse_bool:
                 sub.add_argument(flag, action="store_const", const=True, help=help_text)
             else:

@@ -53,6 +53,9 @@ __all__ = [
 
 VARIANTS = ("cov", "pquery", "softmax")
 TASK_KINDS = ("copy", "reverse")
+# the toy task and evaluation size the CLI and the inner-dimension sweep default to
+DEFAULT_TASK = "reverse"
+DEFAULT_EVAL_SAMPLES = 256
 
 # sources decoded per forward by `evaluate`; bounds its activation memory
 EVAL_BATCH = 1024

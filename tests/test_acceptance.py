@@ -23,7 +23,7 @@ from attentive_mlp.attention import (
     mlp_forward,
     softmax_attention,
 )
-from attentive_mlp.bench import SweepConfig, iqr_filter, model_memory, sweep_inner_dimension
+from attentive_mlp.bench import SWEEP_CONFIG, iqr_filter, model_memory, sweep_inner_dimension
 from attentive_mlp.cli import main
 from attentive_mlp.narmodel import (
     NarConfig,
@@ -123,7 +123,7 @@ def toy_training():
 
 @pytest.fixture(scope="session")
 def sweep_rows():
-    config = SweepConfig()  # toy dims: d_model 32, heads 2 -> head width 16
+    config = SWEEP_CONFIG  # toy dims: d_model 32, heads 2 -> head width 16
     return sweep_inner_dimension([4, 8, 16], config), config
 
 

@@ -28,8 +28,7 @@ from attentive_mlp.bench import (
     records_to_csv,
     run_and_report,
     sweep_inner_dimension,
-    time_architecture,
-    SweepConfig,
+    SWEEP_CONFIG,
 )
 from attentive_mlp.tensor import ContractError, Tensor
 
@@ -228,7 +227,7 @@ class TestBenchRunsLibrary:
 
 class TestBenchConfig:
     def test_runs_below_four_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             BenchConfig(runs=3)
 
     def test_lengths_must_increase(self):
@@ -247,28 +246,34 @@ class TestBenchConfig:
 SMALL = BenchConfig(lengths=(16, 64), batch=1, runs=8, d_model=16, heads=2, c=4, warmup=1)
 
 
+def _timed(arch, n, cfg):
+    """The record of one (architecture, length) cell, timed through the grid."""
+    records, _, _ = run_and_report(dataclasses.replace(cfg, architectures=(arch,)))
+    return {r.n: r for r in records}[n]
+
+
 class TestTimeArchitecture:
     def test_kept_is_half_of_hundred_runs(self):
         cfg = BenchConfig(lengths=(8,), batch=1, runs=100, d_model=8, heads=1, c=2, warmup=0)
-        record = time_architecture("nar-amlp", 8, cfg)
+        record = _timed("nar-amlp", 8, cfg)
         assert record.kept == 50
 
     def test_work_grows_with_length(self):
         cfg = BenchConfig(
             lengths=(256, 2048), batch=1, runs=5, d_model=64, heads=1, c=16, warmup=1
         )
+        records, _, _ = run_and_report(cfg)
+        by = {(r.arch, r.n): r.mean_latency_s for r in records}
         for arch in ARCHITECTURES:
-            slow = time_architecture(arch, 2048, cfg)
-            fast = time_architecture(arch, 256, cfg)
-            assert slow.mean_latency_s > fast.mean_latency_s, arch
+            assert by[(arch, 2048)] > by[(arch, 256)], arch
 
     def test_measured_peak_within_factor_two_of_model(self):
         cfg = BenchConfig(lengths=(512,), batch=2, runs=4, d_model=64, heads=2, c=8, warmup=0)
-        for arch in ARCHITECTURES:
-            record = time_architecture(arch, 512, cfg)
+        records, _, _ = run_and_report(cfg)
+        for record in records:
             assert record.measured_peak_bytes is not None
             ratio = record.measured_peak_bytes / (8 * record.modeled_elems)
-            assert 0.5 <= ratio <= 2.0, (arch, ratio)
+            assert 0.5 <= ratio <= 2.0, (record.arch, ratio)
 
     def test_warmup_lasts_at_least_the_floor(self, monkeypatch):
         calls = []
@@ -282,9 +287,44 @@ class TestTimeArchitecture:
         bench._time_interleaved("nar-amlp", ["a", "b"], runs=3, warmup=0)
         assert len(calls) == 6  # warmup 0 still means no warm-up
 
+    def test_grid_times_lengths_round_robin_after_one_warmup(self, monkeypatch):
+        calls = {arch: [] for arch in ("nar-softmax", "nar-amlp")}
+        monkeypatch.setattr(bench, "_MIN_WARMUP_S", 0.01)
+        monkeypatch.setattr(
+            bench,
+            "_run_once",
+            lambda arch, args: calls[arch].append((args[0].n, time.perf_counter())),
+        )
+        lengths = (8, 16, 32)
+        cfg = BenchConfig(
+            lengths=lengths, batch=1, runs=4, d_model=8, heads=2, c=2, warmup=1,
+            architectures=tuple(calls),
+        )
+        run_and_report(cfg)
+        for arch, arch_calls in calls.items():
+            # warm-up rounds, the runs timed rounds, then one traced run per cell
+            assert [n for n, _ in arch_calls] == list(lengths) * (len(arch_calls) // 3), arch
+            first_timed = arch_calls[-3 * (cfg.runs + 1)][1]
+            assert first_timed - arch_calls[0][1] >= 0.01, arch  # one floor, paid up front
+
+    def test_cell_that_does_not_fit_is_infeasible(self, monkeypatch):
+        # a 1 MiB budget fits the two short cells' inputs, not the long one's
+        monkeypatch.setattr(bench, "_available_memory_bytes", lambda _root="/": 1 << 20)
+        cfg = BenchConfig(
+            lengths=(8, 16, 100_000), batch=1, runs=4, d_model=8, heads=2, c=2, warmup=0,
+            architectures=("nar-amlp",),
+        )
+        records, csv_text, _ = run_and_report(cfg)
+        assert [(r.n, r.feasible, r.kept) for r in records] == [
+            (8, True, 2), (16, True, 2), (100_000, False, 0)
+        ]
+        assert all(r.mean_latency_s > 0 for r in records[:2])
+        long_row = csv_text.strip().split("\n")[-1]
+        assert long_row == f"nar-amlp,100000,1,4,0,,{records[2].modeled_elems},"
+
     def test_modeled_elems_deterministic(self):
-        a = time_architecture("nar-amlp", 64, SMALL)
-        b = time_architecture("nar-amlp", 64, SMALL)
+        a = _timed("nar-amlp", 64, SMALL)
+        b = _timed("nar-amlp", 64, SMALL)
         assert a.modeled_elems == b.modeled_elems
 
 
@@ -342,9 +382,10 @@ class TestSlopeFit:
 
 
 class TestSweepValidation:
-    def test_inner_dim_above_head_width_rejected(self):
+    def test_inner_dim_above_head_width_rejected(self, monkeypatch):
+        monkeypatch.setattr(bench, "_time_interleaved", lambda *a: pytest.fail("timed a cell"))
         with pytest.raises(ConfigError):
-            sweep_inner_dimension([32], SweepConfig(d_model=32, heads=2))
+            sweep_inner_dimension([4, 32], SWEEP_CONFIG)
 
 
 class TestSweepAccuracy:
@@ -352,16 +393,15 @@ class TestSweepAccuracy:
         calls = []
         real = bench.evaluate
         monkeypatch.setattr(bench, "evaluate", lambda *a: calls.append(a) or real(*a))
-        cfg = SweepConfig(train_steps=4, probe_every=2, eval_samples=8, stop_accuracy=1.1)
+        monkeypatch.setattr(bench, "_PROBE_EVERY", 2)
         for steps, stop, expected in (
             (4, 1.1, 2),  # probes after steps 2 and 4, nothing after training
             (5, 1.1, 3),  # step 5 was not probed, so training ends with one evaluation
             (4, 0.0, 1),  # the first probe stops training
         ):
+            monkeypatch.setattr(bench, "_STOP_ACCURACY", stop)
             calls.clear()
-            bench._train_toy_accuracy(
-                4, dataclasses.replace(cfg, train_steps=steps, stop_accuracy=stop)
-            )
+            bench._train_toy_accuracy(4, SWEEP_CONFIG, steps)
             assert len(calls) == expected, (steps, stop)
 
 

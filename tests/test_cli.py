@@ -73,6 +73,20 @@ class TestBenchCommand:
         assert stdout.startswith("arch,n,batch,runs,kept,")
         assert "slope" in stderr
 
+    def test_sweep_defaults_are_the_sweep_shape(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "sweep_inner_dimension", lambda *a: seen.append(a) or [])
+        code, _, stderr = run_cli(["sweep", "--c", "4,8"], capsys)
+        assert code == 0
+        echo = dict(kv.split("=") for kv in stderr.splitlines()[0].split()[2:])
+        expected = {"d": "32", "heads": "2", "batch": "4", "runs": "25", "n": "8192", "steps": "3000"}
+        assert {k: echo[k] for k in expected} == expected
+        (cs, config, steps), = seen
+        assert cs == (4, 8) and steps == 3000
+        assert (config.lengths, config.d_model, config.heads, config.batch, config.runs) == (
+            (8192,), 32, 2, 4, 25
+        )
+
     def test_default_grid_is_eighteen_cells(self):
         # the paper-scale default grid (not timed here): 3 architectures x 6 lengths
         cfg = BenchConfig()
@@ -303,6 +317,7 @@ class TestSettings:
             "lengths": "16", "arch": "nar-softmax", "runs": "4", "batch": "1",
             "d": "8", "heads": "1", "c": "2", "warmup": "0",
         },
+        "sweep": {"c": "2", "n": "16", "steps": "1", "runs": "4", "d": "8", "heads": "2"},
         "train": {
             "task": "copy", "steps": "1", "vocab": "7", "len": "4", "d_model": "8",
             "heads": "2", "c": "2", "batch_size": "2", "eval_samples": "16",
@@ -314,13 +329,16 @@ class TestSettings:
         "command, bad",
         [
             ("bench", {"sigma1": "bogus"}),
+            ("bench", {"arch": ","}),
+            ("sweep", {"c": ","}),
             ("train", {"sigma1": "bogus"}),
             ("train", {"variant": "pquery", "beta": "2.0"}),
             ("train", {"len": "0"}),
             ("train", {"vocab": "0"}),
             ("train", {"lr": "nan"}),
         ],
-        ids=["bench-sigma1", "train-sigma1", "beta", "len", "vocab", "lr"],
+        ids=["bench-sigma1", "bench-arch-empty", "sweep-c-empty", "train-sigma1", "beta", "len",
+             "vocab", "lr"],
     )
     def test_bad_setting_is_one_line_usage_error(self, command, bad, source, tmp_path, capsys):
         settings = {**self.BASE[command], **bad}
@@ -349,13 +367,7 @@ class TestRuntimeFailures:
     def test_sweep_memory_refusal_is_one_line_error(self, monkeypatch, capsys):
         # a fixed 1 MiB budget keeps the refusal independent of the host
         monkeypatch.setattr(bench, "_available_memory_bytes", lambda _root="/": 1 << 20)
-        code, stdout, stderr = run_cli(
-            [
-                "bench", "--sweep", "4", "--sweep-n", "100000000", "--d", "32",
-                "--heads", "2", "--batch", "4", "--runs", "4",
-            ],
-            capsys,
-        )
+        code, stdout, stderr = run_cli(["sweep", "--c", "4", "--n", "100000000"], capsys)
         assert code == 1
         assert stdout == ""
         assert _error_lines(stderr) == ["error: sweep cell c=4 does not fit in memory"]
