@@ -3,23 +3,25 @@
 Includes the quadratic softmax baseline, the position-wise MLP, the symmetric
 distance-matrix form with its rank-c factorization, two adaptive-weight MLP
 attention variants (covariance-based and pseudo-query-based), a step-wise
-causal evaluation of the covariance variant, and a multi-head wrapper.  For
+causal evaluation of the covariance variant, and a multi-head wrapper that
+runs all heads of a layer as one call, with the heads as a tensor axis.  For
 inputs longer than twice the model width, the multi-head covariance layer
 runs in its Gram order: one X^T X per input replaces the Q/K/V/output
 projections (see ``multi_head_forward``).
 
 All forwards are pure functions; anything fed Vars is recorded on their tape
-and differentiable.  The non-causal forwards take rank-2 activations, or
-rank 3 with a leading batch axis that they pass through unchanged: each batch
-entry gets its own second-moment summaries.  A rank-2 operand facing a rank-3
-one (such as a query block shared by every source in a batch) is shared by
-every batch entry.
+and differentiable.  The non-causal forwards take rank-2 activations with up
+to two leading batch axes (a batch of sources, a head axis, or both) that
+they pass through unchanged: each batch entry gets its own second-moment
+summaries.  Batch axes broadcast as numpy's do, so an operand with fewer of
+them (such as a query block shared by every source in a batch, or one head's
+parameters) is shared by every batch entry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,16 +30,19 @@ from .tensor import (
     DimensionError,
     Tensor,
     Var,
+    _batch_shape,
     _quiet,
     _softmax_last,
     add,
     concat,
     ema,
     matmul,
+    merge_heads,
     relu,
     scale,
-    slice_cols,
     softmax,
+    split_heads,
+    stack,
     transpose,
 )
 
@@ -83,8 +88,9 @@ def _data(x) -> np.ndarray:
 class AttentionInputs:
     """Query/key/value bundle: q is n x d, k and v are m x d, each optionally batched.
 
-    Any of the three may carry a leading batch axis B; those that do must
-    agree on it, and a rank-2 member is shared by every batch entry.
+    Any of the three may carry up to two leading batch axes; they broadcast
+    as numpy's do, so a member with fewer of them, or with extent 1 on one,
+    is shared by every batch entry.
     """
 
     q: object
@@ -93,10 +99,9 @@ class AttentionInputs:
 
     def __post_init__(self):
         shapes = qs, ks, vs = self.q.shape, self.k.shape, self.v.shape
-        if any(len(s) not in (2, 3) for s in shapes):
-            raise DimensionError(f"inputs must be rank 2 or 3, got {qs}, {ks}, {vs}")
-        if len({s[0] for s in shapes if len(s) == 3}) > 1:
-            raise DimensionError(f"batch extents differ: {qs}, {ks}, {vs}")
+        if any(len(s) < 2 for s in shapes):
+            raise DimensionError(f"inputs must be rank 2 to 4, got {qs}, {ks}, {vs}")
+        _batch_shape("attention inputs", (self.q, self.k, self.v))
         if ks[-2] != vs[-2]:
             raise DimensionError(f"k and v must share rows: {ks} vs {vs}")
         if qs[-1] != ks[-1]:
@@ -123,7 +128,11 @@ def _check_sigma1(name: str) -> str:
 
 @dataclass(frozen=True)
 class AmlpCovParams:
-    """Down-projection pair for the covariance variant; both are c x d."""
+    """Down-projection pair for the covariance variant; both are c x d.
+
+    Stacked (h, c, d) projections hold h heads' pairs, for inputs with a
+    head axis of extent h.
+    """
 
     c_q: object
     c_k: object
@@ -131,24 +140,28 @@ class AmlpCovParams:
 
     def __post_init__(self):
         cq, ck = self.c_q.shape, self.c_k.shape
-        if len(cq) != 2 or cq != ck:
-            raise DimensionError(f"c_q and c_k must both be c x d, got {cq} and {ck}")
-        if not (1 <= cq[0] <= cq[1]):
-            raise ConfigError(f"need 1 <= c <= d, got c={cq[0]}, d={cq[1]}")
+        if len(cq) not in (2, 3) or cq != ck:
+            raise DimensionError(f"c_q and c_k must both be ([h,]) c x d, got {cq} and {ck}")
+        if not (1 <= cq[-2] <= cq[-1]):
+            raise ConfigError(f"need 1 <= c <= d, got c={cq[-2]}, d={cq[-1]}")
         _check_sigma1(self.sigma1)
 
     @property
     def c(self) -> int:
-        return self.c_q.shape[0]
+        return self.c_q.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.c_q.shape[1]
+        return self.c_q.shape[-1]
 
 
 @dataclass(frozen=True)
 class AmlpPQueryParams:
-    """Pseudo-query parameters: projections c x d, mixing weight 2d x d, ema beta."""
+    """Pseudo-query parameters: projections c x d, mixing weight 2d x d, ema beta.
+
+    Stacked (h, c, d) projections and an (h, 2d, d) mixing weight hold h heads'
+    parameters, for inputs with a head axis of extent h.
+    """
 
     c_q: object
     c_k: object
@@ -158,22 +171,22 @@ class AmlpPQueryParams:
 
     def __post_init__(self):
         cq, ck, w = self.c_q.shape, self.c_k.shape, self.w.shape
-        if len(cq) != 2 or cq != ck:
-            raise DimensionError(f"c_q and c_k must both be c x d, got {cq} and {ck}")
-        d = cq[1]
-        if w != (2 * d, d):
-            raise DimensionError(f"w must be {2 * d} x {d}, got {w}")
+        if len(cq) not in (2, 3) or cq != ck:
+            raise DimensionError(f"c_q and c_k must both be ([h,]) c x d, got {cq} and {ck}")
+        d = cq[-1]
+        if w != (*cq[:-2], 2 * d, d):
+            raise DimensionError(f"w must be {(*cq[:-2], 2 * d, d)}, got {w}")
         if not (0.0 <= self.beta <= 1.0):
             raise ContractError(f"beta must be in [0, 1], got {self.beta}")
         _check_sigma1(self.sigma1)
 
     @property
     def c(self) -> int:
-        return self.c_q.shape[0]
+        return self.c_q.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.c_q.shape[1]
+        return self.c_q.shape[-1]
 
 
 def _apply_sigma1(h, kind: str):
@@ -430,7 +443,8 @@ class MultiHeadParams:
 
     mechanism selects what each head runs: "softmax", "cov", or "pquery".
     head_params carries one AmlpCovParams/AmlpPQueryParams per head for the
-    adaptive variants and stays empty for softmax.
+    adaptive variants and stays empty for softmax.  All heads run as one
+    call over a head axis, so they must share c, sigma1 and beta.
     """
 
     mechanism: str
@@ -454,29 +468,42 @@ class MultiHeadParams:
             raise ConfigError(
                 f"{self.mechanism} needs {self.heads} per-head params, got {len(self.head_params)}"
             )
+        shared = {(hp.c, hp.sigma1, getattr(hp, "beta", None)) for hp in self.head_params}
+        if len(shared) > 1:
+            raise ConfigError(f"heads must share c, sigma1 and beta, got {sorted(shared)}")
 
     @property
     def d_model(self) -> int:
         return self.w_q.shape[0]
 
 
-def multi_head_forward(x_target, x_source, params: MultiHeadParams):
-    """Project, split the feature axis into heads, run each head, merge.
+def _stacked_heads(params: MultiHeadParams):
+    """The heads' mechanism parameters as one set, each stacked to (h, ...) by one ``stack``."""
+    names = ("c_q", "c_k", "w") if params.mechanism == "pquery" else ("c_q", "c_k")
+    hps = params.head_params
+    return replace(hps[0], **{f: stack(*(getattr(hp, f) for hp in hps)) for f in names})
 
-    Each head sees a contiguous d_model/heads slice of the projected
+
+def multi_head_forward(x_target, x_source, params: MultiHeadParams):
+    """Project, split the feature axis into heads, run every head in one call, merge.
+
+    Each head sees a contiguous d_model/heads block of the projected
     features and runs the configured mechanism with its own parameters.
-    Either input may carry a leading batch axis, which the output keeps.
+    The heads are a tensor axis: ``split_heads`` views (..., n, d) as
+    (..., h, n, d_h), one mechanism call runs all heads with their
+    parameters stacked to (h, ...), and ``merge_heads`` joins them again for
+    W_o.  Either input may carry a leading batch axis, which the output keeps.
 
     A ``cov`` layer runs in one of two orders that compute the same function.
     With n target rows, m source rows, d = d_model, h heads of width
     d_h = d/h and c per head, the multiply-accumulates (MACs) per batch entry
     are:
 
-    * direct: project Q, K and V, run ``amlp_cov_forward`` per head, and
-      merge through W_o.  2(n + m)d^2 for the four projections,
-      (n + 2m)d d_h for the per-head summaries Q^T Q, K^T K and K^T V,
-      2ncd for the hidden and output products, and 3cd d_h for the weight
-      maps.
+    * direct: project Q, K and V, run ``amlp_cov_forward`` once over the
+      head axis, and merge through W_o.  2(n + m)d^2 for the four
+      projections, (n + 2m)d d_h for the per-head summaries Q^T Q, K^T K and
+      K^T V, 2ncd for the hidden and output products, and 3cd d_h for the
+      weight maps.
     * Gram: Q, K and V are used only through Q^T Q, K^T K, K^T V and Q w_qk,
       and (XW)^T(XW') = W^T (X^T X) W', so one G = X^T X per input (one in
       all when ``x_source is x_target``) replaces the K and V projections
@@ -504,52 +531,48 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
         )
     if params.mechanism == "cov" and min(x_target.shape[-2], x_source.shape[-2]) > 2 * d_model:
         return _multi_head_cov_gram(x_target, x_source, params)
-    q = matmul(x_target, params.w_q)
-    k = matmul(x_source, params.w_k)
-    v = matmul(x_source, params.w_v)
-    dh = d_model // params.heads
-    outs = []
-    for i in range(params.heads):
-        lo, hi = i * dh, (i + 1) * dh
-        head_in = AttentionInputs(
-            slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-        )
-        if params.mechanism == "softmax":
-            out = softmax_attention(head_in)
-        elif params.mechanism == "cov":
-            out = amlp_cov_forward(head_in, params.head_params[i])
-        else:
-            out = amlp_pquery_forward(head_in, params.head_params[i])
-        outs.append(out)
-    return matmul(_join(outs, axis=1), params.w_o)
-
-
-def _join(parts, axis: int):
-    return concat(*parts, axis=axis) if len(parts) > 1 else parts[0]
+    h = params.heads
+    heads_in = AttentionInputs(
+        split_heads(matmul(x_target, params.w_q), h),
+        split_heads(matmul(x_source, params.w_k), h),
+        split_heads(matmul(x_source, params.w_v), h),
+    )
+    if params.mechanism == "softmax":
+        out = softmax_attention(heads_in)
+    elif params.mechanism == "cov":
+        out = amlp_cov_forward(heads_in, _stacked_heads(params))
+    else:
+        out = amlp_pquery_forward(heads_in, _stacked_heads(params))
+    return matmul(merge_heads(out), params.w_o)
 
 
 def _multi_head_cov_gram(x_target, x_source, params: MultiHeadParams):
-    """The Gram order of a ``cov`` layer; see ``multi_head_forward``."""
-    g_t = matmul(transpose(x_target), x_target)
-    g_s = g_t if x_source is x_target else matmul(transpose(x_source), x_source)
-    w_o_t = transpose(params.w_o)
-    dh = params.d_model // params.heads
-    maps, merges = [], []
-    for i, hp in enumerate(params.head_params):
-        lo, hi = i * dh, (i + 1) * dh
-        w_q, w_k, w_v = (slice_cols(w, lo, hi) for w in (params.w_q, params.w_k, params.w_v))
-        t = matmul(transpose(w_k), g_s)
-        lt, w_qkv = _cov_weight_map(
-            matmul(matmul(transpose(w_q), g_t), w_q), matmul(t, w_k), matmul(t, w_v), hp
-        )
-        maps.append(matmul(w_q, transpose(lt)))
-        merges.append(matmul(w_qkv, transpose(slice_cols(w_o_t, lo, hi))))
+    """The Gram order of a ``cov`` layer; see ``multi_head_forward``.
+
+    W_q, W_k, W_v and W_o^T are split into (h, d, d_h) column blocks, and each
+    G = X^T X gets an extent-1 head axis, (..., 1, d, d), so every per-head
+    product is one batched matmul over (..., h) and batched inputs broadcast
+    against the shared weights.
+    """
+    h = params.heads
+    g_t = split_heads(matmul(transpose(x_target), x_target), 1)
+    g_s = g_t if x_source is x_target else split_heads(matmul(transpose(x_source), x_source), 1)
+    w_q, w_k, w_v, w_o_t = (
+        split_heads(w, h) for w in (params.w_q, params.w_k, params.w_v, transpose(params.w_o))
+    )
+    hp = _stacked_heads(params)
+    t = matmul(transpose(w_k), g_s)
+    lt, w_qkv = _cov_weight_map(
+        matmul(matmul(transpose(w_q), g_t), w_q), matmul(t, w_k), matmul(t, w_v), hp
+    )
     # one n-row product for all heads: BLAS runs a c-column one far below peak
     # (on 2 cores, four 8192 x 256 by 256 x 16 products take 7.2 ms, one by
-    # 256 x 64 takes 4.5 ms)
-    pre = matmul(x_target, _join(maps, axis=1))
-    hiddens, col = [], 0
-    for hp in params.head_params:
-        hiddens.append(_apply_sigma1(slice_cols(pre, col, col + hp.c), hp.sigma1))
-        col += hp.c
-    return matmul(_join(hiddens, axis=1), _join(merges, axis=0))
+    # 256 x 64 takes 4.5 ms).  Column block j of the (..., n, h c) result is
+    # head j's pre-activation.
+    pre = matmul(x_target, merge_heads(matmul(w_q, transpose(lt))))
+    if hp.sigma1 == "softmax":  # normalizes each head's block on its own
+        hidden = merge_heads(softmax(split_heads(pre, h)))
+    else:  # elementwise: once over every head
+        hidden = _apply_sigma1(pre, hp.sigma1)
+    # row block j of the (..., h c, d) merge is w_qkv_j W_o[head j rows]
+    return matmul(hidden, transpose(merge_heads(matmul(w_o_t, transpose(w_qkv)))))

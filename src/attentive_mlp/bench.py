@@ -94,7 +94,9 @@ class BenchConfig:
         if not self.lengths or any(
             b <= a for a, b in zip(self.lengths, self.lengths[1:])
         ) or min(self.lengths) < 1:
-            raise ConfigError(f"lengths must be strictly increasing, got {self.lengths}")
+            raise ConfigError(
+                f"lengths must be positive and strictly increasing, got {self.lengths}"
+            )
         if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"heads={self.heads} must divide d_model={self.d_model}")
         if not (1 <= self.c <= self.d_model // self.heads):
@@ -466,9 +468,14 @@ class SweepRow:
 def _train_toy_accuracy(c: int, config: BenchConfig, steps: int) -> float:
     """Best reverse-task accuracy of `NarConfig`'s default run at inner dimension c.
 
-    The model takes the sweep's width, heads and seed, so every swept c fits it.
+    The model takes the sweep's width, heads, sigma1 and seed, so every swept c
+    fits it and its accuracy belongs to the forward whose latency the sweep times.
     """
-    model = NarModel(NarConfig(d_model=config.d_model, heads=config.heads, c=c, seed=config.seed))
+    model = NarModel(
+        NarConfig(
+            d_model=config.d_model, heads=config.heads, c=c, sigma1=config.sigma1, seed=config.seed
+        )
+    )
     nar = model.config
     task = SyntheticTask(DEFAULT_TASK, vocab=nar.vocab_size, length=nar.seq_len, seed=nar.seed + 1)
     best = 0.0

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import re
 import sys
 
 from .attention import SIGMA1_CHOICES, ConfigError
@@ -132,6 +133,24 @@ _VERIFY = {
     ),
     "seed": (int, 0, "global random seed"),
 }
+
+
+# Library config fields each subcommand feeds from a setting of another name.
+# A ConfigError names the field; the usage error names the flag instead.
+_FLAG_OF_FIELD = {
+    "bench": {"d_model": "d", "architectures": "arch"},
+    "sweep": {"d_model": "d", "lengths": "n"},
+    "train": {"vocab_size": "vocab", "seq_len": "len", "source_len": "len", "learning_rate": "lr"},
+}
+
+
+def _name_flags(message: str, command: str) -> str:
+    """A library error message with each renamed field replaced by its flag."""
+    renamed = _FLAG_OF_FIELD.get(command, {})
+    if not renamed:
+        return message
+    pattern = r"\b(" + "|".join(renamed) + r")\b"
+    return re.sub(pattern, lambda m: "--" + renamed[m.group(1)], message)
 
 
 def _read_config_file(path: str, schema: dict) -> dict:
@@ -340,7 +359,7 @@ def main(argv=None) -> int:
     try:
         return args.func(_effective(args, parser), parser)
     except ConfigError as exc:  # a setting the library rejects, from a flag or a file
-        parser.error(str(exc))
+        parser.error(_name_flags(str(exc), args.command))
     except (ContractError, InputError, MemoryError, OSError) as exc:  # a run that failed
         print(f"error: {exc}", file=sys.stderr)
         return 1

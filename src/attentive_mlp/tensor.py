@@ -5,16 +5,22 @@ from the small op vocabulary in this module.  Ops accept either plain Tensors
 (pure evaluation) or Vars bound to a Tape (recorded, differentiable); the two
 modes share one code path.
 
-The matrix ops take rank 2, or rank 3 with a leading batch axis: they act on
-the last two axes, and every batch entry is computed independently.  In a
-binary op a rank-2 operand may meet a rank-3 one (a parameter applied to a
-batch of activations); it is shared by every batch entry, and its gradient is
-the sum over the batch.
+Tensors have rank 0 to 4.  The matrix ops act on the last two axes of
+operands of rank 2 to 4; the axes before them are batch axes (a batch of
+sources, a head axis, or both), and every batch entry is computed
+independently.  Batch axes broadcast as numpy's do: an operand with fewer
+batch axes, or with extent 1 on one, is shared by every entry along it (a
+parameter applied to a batch of activations, one head's weights applied to
+every source), and its gradient is summed over them.  Elementwise ops need
+matching extents on the last two axes.  Extents that do not broadcast raise
+DimensionError.
 
-``transpose`` and ``slice_cols`` return read-only views of their operand, not
-copies: numpy hands transposed and strided operands straight to BLAS, so
-nothing is copied until an op has to compute.  ``concat`` joins any number
-of operands in one copy.
+``transpose``, ``slice_cols`` and ``split_heads`` return read-only views of
+their operand, not copies: numpy hands transposed and strided operands
+straight to BLAS, so nothing is copied until an op has to compute.
+``concat`` joins any number of operands in one copy, ``merge_heads`` moves a
+head axis back into the feature axis in at most one, and ``stack`` joins
+operands of one shape along a new leading axis.
 
 A Tape records, per node, its input ids, its backward rule and whether it
 needs a gradient.  Of the Vars it holds only its requires-grad leaves, and
@@ -23,8 +29,12 @@ those leaves and nowhere else.  An op output is held by its caller alone, so
 a dropped intermediate is freed during the forward pass, and a spent graph
 is freed by reference counting as soon as the caller drops its Vars.
 
-Softmax probabilities below the smallest normal float64 (2.2e-308) are
-exactly 0, never subnormal.
+Every op output is checked to be finite by one sum over its elements, except
+where finiteness follows from the operands': the layout ops only rearrange
+checked elements, ``relu`` only zeroes some, and ``softmax`` is max-shifted,
+so every exp is at most 1 and each row sums to at least 1.  Softmax
+probabilities below the smallest normal float64 (2.2e-308) are exactly 0,
+never subnormal.
 """
 
 from __future__ import annotations
@@ -53,6 +63,9 @@ __all__ = [
     "softmax",
     "concat",
     "slice_cols",
+    "split_heads",
+    "merge_heads",
+    "stack",
     "sum_all",
     "ema",
     "layer_norm",
@@ -80,10 +93,10 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class Tensor:
-    """Immutable dense array of 64-bit floats, rank 0 to 3.
+    """Immutable dense array of 64-bit floats, rank 0 to 4.
 
     Rank 0 arises only from scalar reductions (``sum_all``, ``cross_entropy``);
-    tensors built from data are rank 1-3 with positive extents.  Every element
+    tensors built from data are rank 1-4 with positive extents.  Every element
     is finite.  Values are safe to share across threads.
     """
 
@@ -138,13 +151,13 @@ def _adopt(arr: np.ndarray, finite: bool = False) -> Tensor:
 def _check_array(arr: np.ndarray, finite: bool = False) -> None:
     if arr.dtype != np.float64:
         raise ContractError(f"expected float64 data, got {arr.dtype}")
-    if arr.ndim > 3:
-        raise DimensionError(f"rank {arr.ndim} exceeds 3 (shape {arr.shape})")
+    if arr.ndim > 4:
+        raise DimensionError(f"rank {arr.ndim} exceeds 4 (shape {arr.shape})")
     if arr.ndim > 0 and min(arr.shape) < 1:
         raise DimensionError(f"extents must be positive, got shape {arr.shape}")
-    # Ops that only rearrange already-checked elements (transpose, slice_cols,
-    # concat) pass finite=True: their output is finite by construction, and the
-    # sum over a strided view costs as much as the copy the view avoids.
+    # Ops whose output is finite whenever their operands are (the layout ops,
+    # relu, softmax) pass finite=True: the sum would prove nothing, and over a
+    # strided view it costs as much as the copy the view avoids.
     if finite:
         return
     # a single reduction: any NaN/Inf element makes the sum non-finite
@@ -237,15 +250,15 @@ def _val(x) -> np.ndarray:
     return _as_tensor(x).data
 
 
-def _dispatch(out: np.ndarray, operands: tuple, bw: Callable, rearranged: bool = False):
+def _dispatch(out: np.ndarray, operands: tuple, bw: Callable, finite: bool = False):
     """Return a Tensor, or record a Var if any operand lives on a tape.
 
     ``bw`` maps the output's gradient to one gradient per operand.
-    ``rearranged`` marks an output whose elements are all elements of the
-    (already checked) operands, so it needs no finiteness check.
+    ``finite`` marks an output that is finite because its (already checked)
+    operands are, so it needs no finiteness check.
     """
     tape = _tape_of(*operands)
-    wrapped = _adopt(out, rearranged)
+    wrapped = _adopt(out, finite)
     if tape is None:
         return wrapped
     ids = tuple(x.node_id if isinstance(x, Var) else None for x in operands)
@@ -260,77 +273,99 @@ def _dispatch(out: np.ndarray, operands: tuple, bw: Callable, rearranged: bool =
 # ---------------------------------------------------------------------------
 
 
-def _check_batch(op, *vals):
-    """Operands of a matrix op must be rank 2 or 3 and agree on any batch extent."""
-    if any(v.ndim not in (2, 3) for v in vals):
-        raise DimensionError(f"{op} needs rank-2 or rank-3 operands, got {_shapes(vals)}")
-    if len({v.shape[0] for v in vals if v.ndim == 3}) > 1:
-        raise DimensionError(f"{op} batch extents differ: {_shapes(vals)}")
+def _check_rank(op, *vals):
+    """Operands of a matrix or row op need a matrix: rank 2 to 4."""
+    if any(v.ndim < 2 for v in vals):
+        raise DimensionError(f"{op} needs operands of rank 2 to 4, got {_shapes(vals)}")
 
 
 def _shapes(vals) -> str:
     return " and ".join(str(v.shape) for v in vals)
 
 
-def _unbatch(g: np.ndarray, ndim: int) -> np.ndarray:
-    """Sum a gradient over the batch axis that an operand of rank `ndim` was shared along."""
-    return g.sum(axis=0) if g.ndim > ndim else g
+def _no_broadcast(op, vals) -> DimensionError:
+    return DimensionError(f"{op} batch extents do not broadcast: {_shapes(vals)}")
+
+
+def _batch_shape(op, vals) -> tuple:
+    """The broadcast of the operands' batch axes (all but their last two)."""
+    try:
+        return np.broadcast_shapes(*(v.shape[:-2] for v in vals))
+    except ValueError:
+        raise _no_broadcast(op, vals) from None
+
+
+def _unbatch(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient back to the shape of an operand that was broadcast along batch axes."""
+    if g.shape == shape:
+        return g
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    if g.shape != shape:  # extent-1 batch axes the operand was shared along
+        g = g.sum(axis=tuple(i for i, e in enumerate(shape) if e != g.shape[i]), keepdims=True)
+    return g
 
 
 @_quiet
 def matmul(a, b):
-    """Matrix product over the last two axes of rank-2 or rank-3 operands."""
+    """Matrix product over the last two axes; batch axes broadcast."""
     av, bv = _val(a), _val(b)
-    _check_batch("matmul", av, bv)
+    _check_rank("matmul", av, bv)
     if av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {av.shape} @ {bv.shape}")
+    try:
+        out = av @ bv
+    except ValueError:
+        raise _no_broadcast("matmul", (av, bv)) from None
 
     def bw(g):
         ga = g @ np.swapaxes(bv, -1, -2)
         gb = np.swapaxes(av, -1, -2) @ g
-        return (_unbatch(ga, av.ndim), _unbatch(gb, bv.ndim))
+        return (_unbatch(ga, av.shape), _unbatch(gb, bv.shape))
 
-    return _dispatch(av @ bv, (a, b), bw)
+    return _dispatch(out, (a, b), bw)
 
 
 def transpose(a):
-    """Swap the last two axes of a rank-2 or rank-3 operand; returns a read-only view."""
+    """Swap the last two axes; returns a read-only view."""
     av = _val(a)
-    if av.ndim not in (2, 3):
-        raise DimensionError(f"transpose needs a rank-2 or rank-3 operand, got shape {av.shape}")
+    _check_rank("transpose", av)
     out = np.swapaxes(av, -1, -2)
-    return _dispatch(out, (a,), lambda g: (np.swapaxes(g, -1, -2),), rearranged=True)
+    return _dispatch(out, (a,), lambda g: (np.swapaxes(g, -1, -2),), finite=True)
 
 
-def _same_shape(av, bv, op):
-    """Elementwise operands match, or a rank-2 one matches each entry of a rank-3 one."""
-    if av.shape == bv.shape:
-        return
-    low, high = (av, bv) if av.ndim < bv.ndim else (bv, av)
-    if not (low.ndim == 2 and high.ndim == 3 and high.shape[1:] == low.shape):
+def _elementwise(op, fn, av, bv):
+    """fn(av, bv) for operands that match on their last two axes and broadcast on the rest."""
+    if av.shape[-2:] != bv.shape[-2:]:
         raise DimensionError(f"{op} needs matching shapes, got {av.shape} vs {bv.shape}")
+    try:
+        return fn(av, bv)
+    except ValueError:
+        raise _no_broadcast(op, (av, bv)) from None
 
 
 @_quiet
 def add(a, b):
     av, bv = _val(a), _val(b)
-    _same_shape(av, bv, "add")
-    return _dispatch(av + bv, (a, b), lambda g: (_unbatch(g, av.ndim), _unbatch(g, bv.ndim)))
+    out = _elementwise("add", np.add, av, bv)
+    return _dispatch(out, (a, b), lambda g: (_unbatch(g, av.shape), _unbatch(g, bv.shape)))
 
 
 @_quiet
 def sub(a, b):
     av, bv = _val(a), _val(b)
-    _same_shape(av, bv, "sub")
-    return _dispatch(av - bv, (a, b), lambda g: (_unbatch(g, av.ndim), -_unbatch(g, bv.ndim)))
+    out = _elementwise("sub", np.subtract, av, bv)
+    return _dispatch(out, (a, b), lambda g: (_unbatch(g, av.shape), -_unbatch(g, bv.shape)))
 
 
 @_quiet
 def mul(a, b):
     """Elementwise product."""
     av, bv = _val(a), _val(b)
-    _same_shape(av, bv, "mul")
-    return _dispatch(av * bv, (a, b), lambda g: (_unbatch(g * bv, av.ndim), _unbatch(g * av, bv.ndim)))
+    out = _elementwise("mul", np.multiply, av, bv)
+    return _dispatch(
+        out, (a, b), lambda g: (_unbatch(g * bv, av.shape), _unbatch(g * av, bv.shape))
+    )
 
 
 @_quiet
@@ -354,7 +389,7 @@ def add_bias(x, b):
 @_quiet
 def relu(x):
     xv = _val(x)
-    return _dispatch(np.maximum(xv, 0.0), (x,), lambda g: (g * (xv > 0.0),))
+    return _dispatch(np.maximum(xv, 0.0), (x,), lambda g: (g * (xv > 0.0),), finite=True)
 
 
 # Below this shifted logit a probability is under the smallest normal float64
@@ -393,18 +428,19 @@ def softmax(x):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
-    return _dispatch(y, (x,), bw)
+    return _dispatch(y, (x,), bw, finite=True)
 
 
 def concat(*parts, axis: int):
     """Concatenate any number of operands along axis 0 (rows) or 1 (columns) of their last two axes.
 
-    A rank-2 operand joined to rank-3 ones is repeated for every batch entry.
+    Batch axes broadcast: an operand with fewer of them is repeated for every
+    batch entry.
     """
     if not parts:
         raise DimensionError("concat needs at least one operand")
     vals = [_val(p) for p in parts]
-    _check_batch("concat", *vals)
+    _check_rank("concat", *vals)
     if axis not in (0, 1):
         raise DimensionError(f"concat axis must be 0 or 1, got {axis}")
     ax, other = axis - 2, -1 - axis  # positions counted from the end
@@ -412,25 +448,21 @@ def concat(*parts, axis: int):
         raise DimensionError(
             f"concat along axis {axis} needs matching extent on axis {1 - axis}: {_shapes(vals)}"
         )
-    ndims = [v.ndim for v in vals]
-    if 2 in ndims and 3 in ndims:
-        batch = vals[ndims.index(3)].shape[0]
-        out = np.concatenate([np.broadcast_to(v, (batch, *v.shape[-2:])) for v in vals], axis=ax)
-    else:
-        out = np.concatenate(vals, axis=ax)
+    lead = _batch_shape("concat", vals)
+    shapes = [v.shape for v in vals]
+    out = np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in vals], axis=ax)
     splits = list(itertools.accumulate(v.shape[ax] for v in vals[:-1]))
 
     def bw(g):
-        return tuple(_unbatch(gp, nd) for gp, nd in zip(np.split(g, splits, axis=ax), ndims))
+        return tuple(_unbatch(gp, shape) for gp, shape in zip(np.split(g, splits, axis=ax), shapes))
 
-    return _dispatch(out, parts, bw, rearranged=True)
+    return _dispatch(out, parts, bw, finite=True)
 
 
 def slice_cols(x, start: int, stop: int):
-    """Contiguous slice of the last axis of a rank-2 or rank-3 operand; returns a read-only view."""
+    """Contiguous slice of the last axis of an operand of rank 2 to 4; returns a read-only view."""
     xv = _val(x)
-    if xv.ndim not in (2, 3):
-        raise DimensionError(f"slice_cols needs a rank-2 or rank-3 operand, got shape {xv.shape}")
+    _check_rank("slice_cols", xv)
     if not (0 <= start < stop <= xv.shape[-1]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for shape {xv.shape}")
 
@@ -439,7 +471,41 @@ def slice_cols(x, start: int, stop: int):
         full[..., start:stop] = g
         return (full,)
 
-    return _dispatch(xv[..., start:stop], (x,), bw, rearranged=True)
+    return _dispatch(xv[..., start:stop], (x,), bw, finite=True)
+
+
+def split_heads(x, heads: int):
+    """(..., n, heads*dh) -> (..., heads, n, dh): column block j becomes head j; a read-only view.
+
+    The operand has rank 2 or 3.  ``split_heads(x, 1)`` adds an extent-1 head
+    axis, which broadcasts against any number of heads.
+    """
+    xv = _val(x)
+    if xv.ndim not in (2, 3) or heads < 1 or xv.shape[-1] % heads:
+        raise DimensionError(f"cannot split shape {xv.shape} into {heads} heads")
+    *lead, n, width = xv.shape
+    out = np.swapaxes(xv.reshape(*lead, n, heads, width // heads), -3, -2)
+    return _dispatch(out, (x,), lambda g: (np.swapaxes(g, -3, -2).reshape(xv.shape),), finite=True)
+
+
+def merge_heads(x):
+    """(..., heads, n, dh) -> (..., n, heads*dh), inverting ``split_heads``; at most one copy."""
+    xv = _val(x)
+    if xv.ndim < 3:
+        raise DimensionError(f"merge_heads needs a head axis: rank 3 or 4, got shape {xv.shape}")
+    *lead, heads, n, dh = xv.shape
+    out = np.swapaxes(xv, -3, -2).reshape(*lead, n, heads * dh)
+    return _dispatch(
+        out, (x,), lambda g: (np.swapaxes(g.reshape(*lead, n, heads, dh), -3, -2),), finite=True
+    )
+
+
+def stack(*parts):
+    """Operands of one shape, rank 1 to 3, stacked along a new leading axis."""
+    vals = [_val(p) for p in parts]
+    if not vals or len({v.shape for v in vals}) > 1 or not 1 <= vals[0].ndim <= 3:
+        raise DimensionError(f"stack needs operands of one shape, rank 1 to 3, got {_shapes(vals)}")
+    return _dispatch(np.array(vals), parts, tuple, finite=True)
 
 
 @_quiet
@@ -453,16 +519,15 @@ def sum_all(x):
 def ema(x, beta: float):
     """Exponential moving average over rows: out_i = b*out_{i-1} + (1-b)*x_i.
 
-    Rows are the second-to-last axis, so each batch entry of a rank-3 operand
-    is smoothed on its own.  The running state starts at the first row, so
-    out_1 == x_1 exactly and beta == 1 holds the first row forever.
+    Rows are the second-to-last axis, so each batch entry is smoothed on its
+    own.  The running state starts at the first row, so out_1 == x_1 exactly
+    and beta == 1 holds the first row forever.
     """
     beta = float(beta)
     if not (0.0 <= beta <= 1.0):
         raise ContractError(f"ema beta must be in [0, 1], got {beta}")
     xv = _val(x)
-    if xv.ndim not in (2, 3):
-        raise DimensionError(f"ema needs a rank-2 or rank-3 operand, got shape {xv.shape}")
+    _check_rank("ema", xv)
     n = xv.shape[-2]
     out = np.empty_like(xv)
     out[..., 0, :] = xv[..., 0, :]

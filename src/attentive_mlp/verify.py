@@ -177,7 +177,7 @@ def _check_grad_multi_head_cov(seed: int, broken: bool):
     x_t, x_s = (Tensor(rng.standard_normal(shape) * 0.5) for shape in ((10, 4), (2, 10, 4)))
     projs = [_param(rng, 4, 4) for _ in range(4)]
     cq, ck = _param(rng, 1, 2), _param(rng, 1, 2)
-    head = AmlpCovParams(_param(rng, 1, 2), _param(rng, 1, 2), sigma1="identity")
+    head = AmlpCovParams(_param(rng, 1, 2), _param(rng, 1, 2))
     probe = _t(rng, 2, 10, 4)
 
     def f(wq, wk, wv, wo, a, b, xv):

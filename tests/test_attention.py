@@ -1,5 +1,6 @@
 """Attention mechanisms against scalar-loop and dense-eigendecomposition oracles."""
 
+import dataclasses
 import math
 import warnings
 
@@ -684,7 +685,50 @@ class TestMultiHead:
         )
         x_t, x_s = (Tensor(rng.standard_normal((r, d_model))) for r in (rows_t, rows_s))
         assert multi_head_forward(x_t, x_s, params).shape == (rows_t, d_model)
-        assert len(calls) == (h if order == "direct" else 0)
+        # the direct order runs every head in one call over the head axis
+        assert len(calls) == (1 if order == "direct" else 0)
+
+    def test_gram_softmax_sigma1_normalizes_each_head(self):
+        # 20 rows, over 2 x d_model = 16, take the Gram order, where one
+        # (n, h c) product holds every head's pre-activation: the softmax must
+        # run over each head's c columns, not over the whole row
+        rng = np.random.default_rng(38)
+        d_model, h, dh, c, rows = 8, 4, 2, 2, 20
+        ws = [rng.standard_normal((d_model, d_model)) * d_model**-0.5 for _ in range(4)]
+        head_params = [cov_params(rng, c, dh) for _ in range(h)]
+        params = MultiHeadParams("cov", h, *(Tensor(w) for w in ws), head_params=head_params)
+        x = rng.standard_normal((rows, d_model))
+        out = multi_head_forward(Tensor(x), Tensor(x), params).data
+
+        q, k, v = x @ ws[0], x @ ws[1], x @ ws[2]
+        pre, merge = [], np.zeros((h * c, d_model))
+        for j, hp in enumerate(head_params):
+            sl = slice(j * dh, (j + 1) * dh)
+            w_qk, w_qkv = amlp_cov_weights(
+                AttentionInputs(Tensor(q[:, sl]), Tensor(k[:, sl]), Tensor(v[:, sl])), hp
+            )
+            pre.append(q[:, sl] @ w_qk.data)
+            merge[j * c : (j + 1) * c, sl] = w_qkv.data
+        per_head = np.concatenate([softmax_rows_oracle(p) for p in pre], axis=1) @ merge @ ws[3]
+        whole_row = softmax_rows_oracle(np.concatenate(pre, axis=1)) @ merge @ ws[3]
+        scale = np.abs(per_head).max()
+        np.testing.assert_allclose(out, per_head, rtol=0, atol=1e-12 * scale)
+        assert np.abs(out - whole_row).max() > 1e-3 * scale  # the check can tell them apart
+
+    @pytest.mark.parametrize(
+        "mechanism, make_heads",
+        [
+            ("cov", lambda rng: [cov_params(rng, 2, 4), cov_params(rng, 3, 4)]),
+            ("cov", lambda rng: [cov_params(rng, 2, 4), cov_params(rng, 2, 4, "relu")]),
+            ("pquery", lambda rng: [pquery_params(rng, 2, 4), pquery_params(rng, 2, 4, beta=0.25)]),
+        ],
+        ids=["c", "sigma1", "beta"],
+    )
+    def test_heads_must_share_c_sigma1_and_beta(self, mechanism, make_heads):
+        eye = Tensor(np.eye(8))
+        heads = make_heads(np.random.default_rng(39))
+        with pytest.raises(ConfigError, match="share c, sigma1 and beta"):
+            MultiHeadParams(mechanism, 2, eye, eye, eye, eye, head_params=heads)
 
     def test_indivisible_heads_rejected(self):
         eye = Tensor(np.eye(6))
@@ -721,9 +765,46 @@ class TestBatchAxis:
                 alone = multi_head_forward(Tensor(x_t if shared_target else x_t[b]), Tensor(x_s[b]), params)
                 np.testing.assert_allclose(out.data[b], alone.data, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("mechanism", ["softmax", "cov", "pquery"])
+    def test_head_axis_matches_per_head_calls(self, mechanism):
+        # (B, h, m, d) keys and values, an (h, n, d) query block shared by the
+        # batch, parameters stacked to (h, ...): entry (b, j) is head j's own
+        # call on source b
+        rng = np.random.default_rng(40)
+        batch, h, n, m, d = 2, 3, 4, 5, 4
+        q = rng.standard_normal((h, n, d))
+        k, v = (rng.standard_normal((batch, h, m, d)) for _ in range(2))
+        heads = []
+        if mechanism == "cov":
+            heads = [cov_params(rng, 2, d) for _ in range(h)]
+        elif mechanism == "pquery":
+            heads = [pquery_params(rng, 2, d) for _ in range(h)]
+
+        def run(inputs, params):
+            if mechanism == "softmax":
+                return softmax_attention(inputs)
+            fwd = amlp_cov_forward if mechanism == "cov" else amlp_pquery_forward
+            return fwd(inputs, params)
+
+        names = ("c_q", "c_k", "w") if mechanism == "pquery" else ("c_q", "c_k")
+        stacked = heads and dataclasses.replace(
+            heads[0], **{f: Tensor(np.stack([getattr(hp, f).data for hp in heads])) for f in names}
+        )
+        out = run(AttentionInputs(Tensor(q), Tensor(k), Tensor(v)), stacked).data
+        assert out.shape == (batch, h, n, d)
+        for b in range(batch):
+            for j in range(h):
+                inputs = AttentionInputs(Tensor(q[j]), Tensor(k[b, j]), Tensor(v[b, j]))
+                alone = run(inputs, heads[j] if heads else None).data
+                np.testing.assert_allclose(out[b, j], alone, rtol=0, atol=1e-12)
+
     def test_mismatched_batch_extents_rejected(self):
         with pytest.raises(DimensionError):
             AttentionInputs(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 5, 4))), Tensor(np.zeros((3, 5, 4))))
+
+    def test_mismatched_head_extents_rejected(self):
+        with pytest.raises(DimensionError):
+            AttentionInputs(*(Tensor(np.zeros(s)) for s in ((2, 3, 3, 4), (2, 2, 5, 4), (2, 2, 5, 4))))
 
 
 class TestModuleGradients:

@@ -355,6 +355,23 @@ class TestSettings:
         assert "Traceback" not in err
         assert _error_lines(err) == [err.splitlines()[-1]]
 
+    @pytest.mark.parametrize(
+        "command, flag, value, field",
+        [
+            ("train", "--len", "0", "seq_len"),
+            ("train", "--vocab", "0", "vocab_size"),
+            ("train", "--lr", "nan", "learning_rate"),
+            ("bench", "--d", "0", "d_model"),
+        ],
+    )
+    def test_setting_error_names_the_flag(self, command, flag, value, field, capsys):
+        settings = {**self.BASE[command], flag[2:]: value}
+        with pytest.raises(SystemExit) as exc:
+            main([command] + [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)])
+        assert exc.value.code == 2
+        (line,) = _error_lines(capsys.readouterr().err)
+        assert flag in line and field not in line, line
+
 
 class TestRuntimeFailures:
     def test_diverging_training_is_one_line_error(self, capsys):

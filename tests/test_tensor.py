@@ -27,11 +27,14 @@ from attentive_mlp.tensor import (
     gather_rows,
     layer_norm,
     matmul,
+    merge_heads,
     mul,
     relu,
     scale,
     slice_cols,
     softmax,
+    split_heads,
+    stack,
     sub,
     sum_all,
     transpose,
@@ -66,9 +69,10 @@ def softmax_oracle(row):
 
 
 class TestTensor:
-    def test_rejects_rank_over_3(self):
+    def test_rejects_rank_over_4(self):
+        assert Tensor(np.zeros((2, 2, 2, 2))).shape == (2, 2, 2, 2)
         with pytest.raises(DimensionError):
-            Tensor(np.zeros((2, 2, 2, 2)))
+            Tensor(np.zeros((2, 2, 2, 2, 2)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ContractError):
@@ -124,6 +128,15 @@ class TestTensor:
         b[:, -1] = 1e200
         with pytest.raises(ContractError):
             matmul(Tensor(a), Tensor(b))
+
+    def test_relu_and_softmax_of_extreme_rows_are_finite(self):
+        # these outputs skip the finiteness sum: it must not be what kept them finite
+        x = Tensor([[1.7e308, -1.7e308, 0.0], [-1.7e308, -1.7e308, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, p = relu(x), softmax(x)
+        np.testing.assert_array_equal(r.data, [[1.7e308, 0.0, 0.0], [0.0, 0.0, 1.7e308]])
+        np.testing.assert_array_equal(p.data, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
     def test_rejects_empty_extent(self):
         with pytest.raises(DimensionError):
@@ -424,6 +437,12 @@ def _grad_case(name, rng):
         return _probed(rng, lambda a, b: concat(a, b, axis=1), (3, 4), (3, 3), probe_shape=(3, 7))
     if name == "slice_cols":
         return _probed(rng, lambda a: slice_cols(a, 1, 4), (4, 6), probe_shape=(4, 3))
+    if name == "split_heads":
+        return _probed(rng, lambda a: split_heads(a, 2), (4, 6), probe_shape=(2, 4, 3))
+    if name == "merge_heads":
+        return _probed(rng, merge_heads, (2, 4, 3), probe_shape=(4, 6))
+    if name == "stack":
+        return _probed(rng, stack, (3, 4), (3, 4), probe_shape=(2, 3, 4))
     if name == "ema":
         return _probed(rng, lambda a: ema(a, 0.6), (6, 3), probe_shape=(6, 3))
     if name == "layer_norm":
@@ -452,6 +471,9 @@ class TestOpGradients:
         "transpose",
         "concat",
         "slice_cols",
+        "split_heads",
+        "merge_heads",
+        "stack",
         "ema",
         "layer_norm",
         "gather_rows",
@@ -467,8 +489,11 @@ class TestOpGradients:
         assert all(r.passed for r in reports), [(r.index, r.max_rel_err) for r in reports]
 
 
-# Rank-3 cases: (op, operand shapes, probe shape).  "param" cases pair a
+# Batched cases: (op, operand shapes, probe shape).  "param" cases pair a
 # rank-2 operand with a rank-3 one, so the rank-2 gradient sums over the batch.
+# Rank-4 cases put a head axis after the batch axis: "heads_shared" ones share
+# an (h, ...) operand across (B, h, ...), and "extent_one" ones broadcast a
+# (B, 1, ...) operand against an (h, ...) one, so both gradients sum.
 BATCHED_CASES = {
     "matmul": (matmul, [(2, 5, 4), (2, 4, 3)], (2, 5, 3)),
     "matmul_param_right": (matmul, [(2, 5, 4), (4, 3)], (2, 5, 3)),
@@ -492,11 +517,29 @@ BATCHED_CASES = {
     "ema": (lambda a: ema(a, 0.6), [(2, 6, 3)], (2, 6, 3)),
     "layer_norm": (layer_norm, [(2, 4, 5), (5,), (5,)], (2, 4, 5)),
     "gather_rows": (lambda t: gather_rows(t, [[0, 2, 2, 1], [4, 3, 0, 0]]), [(5, 3)], (2, 4, 3)),
+    "split_heads": (lambda a: split_heads(a, 2), [(2, 4, 6)], (2, 2, 4, 3)),
+    "split_heads_one": (lambda a: split_heads(a, 1), [(2, 4, 6)], (2, 1, 4, 6)),
+    "merge_heads": (merge_heads, [(2, 3, 4, 2)], (2, 4, 6)),
+    "stack": (stack, [(2, 3, 4), (2, 3, 4)], (2, 2, 3, 4)),
+    "matmul_heads_shared": (matmul, [(2, 3, 4, 5), (3, 5, 2)], (2, 3, 4, 2)),
+    "matmul_extent_one": (matmul, [(2, 1, 4, 5), (3, 5, 2)], (2, 3, 4, 2)),
+    "add_heads_shared": (add, [(3, 4, 2), (2, 3, 4, 2)], (2, 3, 4, 2)),
+    "sub_extent_one": (sub, [(2, 1, 4, 2), (3, 4, 2)], (2, 3, 4, 2)),
+    "mul_extent_one": (mul, [(3, 4, 2), (2, 1, 4, 2)], (2, 3, 4, 2)),
+    "scale_rank4": (lambda a: scale(a, -1.5), [(2, 3, 2, 2)], (2, 3, 2, 2)),
+    "transpose_rank4": (transpose, [(2, 3, 4, 5)], (2, 3, 5, 4)),
+    "softmax_rank4": (softmax, [(2, 3, 2, 5)], (2, 3, 2, 5)),
+    "ema_rank4": (lambda a: ema(a, 0.6), [(2, 2, 5, 3)], (2, 2, 5, 3)),
+    "concat_extent_one": (
+        lambda a, b: concat(a, b, axis=1),
+        [(2, 1, 3, 4), (3, 3, 2)],
+        (2, 3, 3, 6),
+    ),
 }
 
 
 class TestBatchedOpGradients:
-    """Rank-3 operands, and rank-2 operands shared across a batch, against finite differences."""
+    """Batched operands of rank 3 and 4, and operands shared across batch axes, against finite differences."""
 
     @pytest.mark.parametrize("name", sorted(BATCHED_CASES))
     def test_matches_finite_differences(self, name):
@@ -540,18 +583,46 @@ class TestBatchedOpGradients:
         with pytest.raises(DimensionError):
             op(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((3, 3, 3))))
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            matmul,
+            add,
+            mul,
+            lambda a, b: concat(a, b, axis=1),
+        ],
+        ids=["matmul", "add", "mul", "concat"],
+    )
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((2, 3, 4, 4), (2, 4, 4)), ((2, 3, 4, 4), (2, 2, 4, 4)), ((2, 1, 4, 4), (3, 2, 4, 4))],
+        ids=["heads-vs-batch", "heads-differ", "batch-differs"],
+    )
+    def test_rank4_extents_that_do_not_broadcast_rejected(self, op, a_shape, b_shape):
+        with pytest.raises(DimensionError):
+            op(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+    def test_rank4_broadcast_matches_per_entry_products(self):
+        rng = np.random.default_rng(29)
+        x, w = rng.standard_normal((2, 1, 4, 5)), rng.standard_normal((3, 5, 2))
+        out = matmul(Tensor(x), Tensor(w)).data
+        assert out.shape == (2, 3, 4, 2)
+        for b in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(out[b, j], x[b, 0] @ w[j], rtol=0, atol=1e-15)
+
     def test_broadcast_needs_matching_trailing_shape(self):
         with pytest.raises(DimensionError):
             add(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 3))))
 
 
 class TestLayoutViews:
-    """transpose and slice_cols hand back read-only views; concat copies."""
+    """transpose, slice_cols and split_heads hand back read-only views; concat copies."""
 
     @pytest.mark.parametrize(
         "op",
-        [transpose, lambda a: slice_cols(a, 1, 3)],
-        ids=["transpose", "slice_cols"],
+        [transpose, lambda a: slice_cols(a, 1, 3), lambda a: split_heads(a, 2)],
+        ids=["transpose", "slice_cols", "split_heads"],
     )
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["rank2", "rank3"])
     @pytest.mark.parametrize("on_tape", [False, True], ids=["tensor", "var"])
@@ -570,6 +641,31 @@ class TestLayoutViews:
         np.testing.assert_array_equal(out.data, np.concatenate(parts, axis=1))
         assert not any(np.shares_memory(out.data, p) for p in parts)
 
+    def test_heads_split_column_blocks_and_merge_back(self):
+        x = np.arange(2 * 3 * 6, dtype=np.float64).reshape(2, 3, 6)
+        heads = split_heads(Tensor(x), 3)
+        assert heads.shape == (2, 3, 3, 2)
+        for j in range(3):
+            np.testing.assert_array_equal(heads.data[:, j], x[..., 2 * j : 2 * j + 2])
+        np.testing.assert_array_equal(merge_heads(heads).data, x)
+        stacked = stack(*(Tensor(x[b]) for b in range(2)))
+        np.testing.assert_array_equal(stacked.data, x)
+
+    @pytest.mark.parametrize(
+        "op, shape",
+        [
+            (lambda a: split_heads(a, 4), (3, 6)),
+            (lambda a: split_heads(a, 2), (2, 2, 3, 4)),
+            (merge_heads, (3, 4)),
+            (lambda a: stack(a, Tensor(np.zeros((3, 5)))), (3, 4)),
+            (lambda a: stack(a), (2, 2, 3, 4)),
+        ],
+        ids=["split-indivisible", "split-rank4", "merge-no-head-axis", "stack-shapes-differ", "stack-rank4"],
+    )
+    def test_head_layout_shape_errors(self, op, shape):
+        with pytest.raises(DimensionError):
+            op(Tensor(np.zeros(shape)))
+
     def test_concat_of_three_extent_mismatch(self):
         with pytest.raises(DimensionError):
             concat(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))), axis=1)
@@ -582,7 +678,7 @@ def _matmul_wrong_grad(a, b):
     def bw(g):
         ga = 1.01 * (g @ np.swapaxes(bv, -1, -2))
         gb = np.swapaxes(av, -1, -2) @ g
-        return (T._unbatch(ga, av.ndim), T._unbatch(gb, bv.ndim))
+        return (T._unbatch(ga, av.shape), T._unbatch(gb, bv.shape))
 
     return T._dispatch(av @ bv, (a, b), bw)
 
