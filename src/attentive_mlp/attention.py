@@ -31,6 +31,7 @@ from .tensor import (
     Tensor,
     Var,
     _batch_shape,
+    _exp_flushed,
     _quiet,
     _softmax_last,
     add,
@@ -363,11 +364,12 @@ def amlp_pquery_forward(inputs: AttentionInputs, params: AmlpPQueryParams):
 class CausalCovState:
     """Running second-moment sums over the tokens consumed so far.
 
-    ``sums`` is one (3, d, d) Tensor stacking s_q, s_k and z: s_q and s_k
-    accumulate outer products of the query/key rows (symmetric PSD by
+    ``sums`` is one (3, d, d) Tensor stacking the transposes of s_q, s_k and
+    z, so each row of those sums is a contiguous column of ``sums``: s_q and
+    s_k accumulate outer products of the query/key rows (symmetric PSD by
     construction), z accumulates key-value outer products.  The properties
-    s_q, s_k and z are read-only (d, d) views of it.  Updated functionally:
-    each step returns a new state.
+    s_q, s_k and z are read-only (d, d) views of it, transposed back.
+    Updated functionally: each step returns a new state.
     """
 
     sums: Tensor
@@ -375,15 +377,15 @@ class CausalCovState:
 
     @property
     def s_q(self) -> Tensor:
-        return Tensor._wrap(self.sums.data[0], finite=True)
+        return Tensor._wrap(self.sums.data[0].T, finite=True)
 
     @property
     def s_k(self) -> Tensor:
-        return Tensor._wrap(self.sums.data[1], finite=True)
+        return Tensor._wrap(self.sums.data[1].T, finite=True)
 
     @property
     def z(self) -> Tensor:
-        return Tensor._wrap(self.sums.data[2], finite=True)
+        return Tensor._wrap(self.sums.data[2].T, finite=True)
 
 
 def causal_amlp_cov_init(d: int) -> CausalCovState:
@@ -400,11 +402,19 @@ def causal_amlp_cov_step(
 
     The accumulated sums make each output equal the corresponding row of the
     non-causal covariance forward applied to the prefix seen so far.  Per-step
-    work is independent of how many tokens came before: one broadcast product
-    adds q^T q, k^T k and k^T v to the stacked sums (3d^2 MACs), one softmax
-    runs over all three (3d^2 exps), and three c x d by d x d
-    products form c_q softmax(S_Q) + c_k softmax(S_K) = L and L softmax(z)
-    (3cd^2 MACs).
+    work is independent of how many tokens came before: one product adds
+    q^T q, k^T k and k^T v to the stacked sums (3d^2 MACs), and the row
+    softmaxes of all three take six to nine elementwise passes over 3d^2
+    entries (add, max, shift, min, exp and sum, plus the mask, clamp and
+    zeroing of the flush once some entry is below it).  With E the flushed
+    exps of a sum's max-shifted rows and r their row sums, each 1/r is
+    folded into a c x d or 1 x d factor, never applied to the d x d exps:
+    L = (c_q / r_Q) E_Q + (c_k / r_K) E_K (2cd^2 MACs), the hidden row
+    q L^T and the product hidden L (2cd MACs), and the output
+    (hidden L / r_z) E_z (d^2 MACs).
+
+    Raises ContractError when the new sums, or the max-shift of one of their
+    rows, are not finite.
     """
     qv, kv, vv = _data(q_t), _data(k_t), _data(v_t)
     d = state.sums.shape[-1]
@@ -415,20 +425,24 @@ def causal_amlp_cov_step(
         raise DimensionError(f"params are for width {params.d}, state has {d}")
 
     # a product with one term is exact, so this equals the running sums of
-    # q^T q, k^T k and k^T v bit for bit
-    left, right = np.concatenate((qv, kv, kv)), np.concatenate((qv, kv, vv))
-    sums = state.sums.data + left[:, :, None] * right[:, None, :]
-    new_state = CausalCovState(sums=Tensor._wrap(sums), t=state.t + 1)
+    # q^T q, k^T k and k^T v (transposed) bit for bit
+    sums = np.einsum("bi,bj->bij", np.concatenate((qv, kv, vv)), np.concatenate((qv, kv, kv)))
+    sums += state.sums.data
+    # a NaN or Inf in sums leaves a NaN or -Inf in its column's shifted
+    # logits, so the finite minimum the flush takes proves the state finite
+    e = sums - sums.max(axis=-2, keepdims=True)
+    if not math.isfinite(_exp_flushed(e)):
+        raise ContractError("causal state contains NaN or Inf")
+    new_state = CausalCovState(sums=Tensor._wrap(sums, finite=True), t=state.t + 1)
 
-    p_q, p_k, p_z = _softmax_last(sums)
-    lt = _data(params.c_q) @ p_q + _data(params.c_k) @ p_k
-    w_qkv = lt @ p_z
+    r_q, r_k, r_z = e.sum(axis=-2)
+    lt = (_data(params.c_q) / r_q) @ e[0].T + (_data(params.c_k) / r_k) @ e[1].T
     hidden = qv @ lt.T
     if params.sigma1 == "softmax":
         hidden = _softmax_last(hidden)
     elif params.sigma1 == "relu":
         hidden = np.maximum(hidden, 0.0)
-    out = hidden @ w_qkv
+    out = ((hidden @ lt) / r_z) @ e[2].T
     return Tensor._wrap(out), new_state
 
 

@@ -33,8 +33,10 @@ Every op output is checked to be finite by one sum over its elements, except
 where finiteness follows from the operands': the layout ops only rearrange
 checked elements, ``relu`` only zeroes some, and ``softmax`` is max-shifted,
 so every exp is at most 1 and each row sums to at least 1.  Softmax
-probabilities below the smallest normal float64 (2.2e-308) are exactly 0,
-never subnormal.
+probabilities below e^-700 (about 1e-304) are exactly 0, never subnormal:
+numpy's vector ``exp`` leaves its fast loop for inputs from about -708 down,
+so max-shifted logits below -700 are clamped before the exp and zeroed after
+it (``_exp_flushed``).
 """
 
 from __future__ import annotations
@@ -392,26 +394,37 @@ def relu(x):
     return _dispatch(np.maximum(xv, 0.0), (x,), lambda g: (g * (xv > 0.0),), finite=True)
 
 
-# Below this shifted logit a probability is under the smallest normal float64
-# (2.2e-308); numpy's exp leaves its vector loop for such inputs.
-_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+# Shifted logits below this are flushed to probability exactly 0.  numpy's exp
+# leaves its vector loop from about -708 down, where its result nears the
+# smallest normal float64 (2.2e-308), and runs over 20x slower there; e^-700
+# is about 1e-304, which cannot change a row sum of at least 1.
+_FLUSH_BELOW = -700.0
+
+
+def _exp_flushed(e: np.ndarray) -> float:
+    """Exponentiate max-shifted logits in place; those below -700 become exactly 0.
+
+    Returns the smallest shifted logit, which is finite exactly when every
+    entry is.  The entries below the threshold are clamped to it before the
+    exp, so every exp stays on numpy's vector path, and are zeroed through one
+    boolean mask after it; a call with none of them skips both.
+    """
+    low = float(e.min())
+    if low < _FLUSH_BELOW:
+        flushed = e < _FLUSH_BELOW
+        np.maximum(e, _FLUSH_BELOW, out=e)
+        np.exp(e, out=e)
+        np.copyto(e, 0.0, where=flushed)
+    else:
+        np.exp(e, out=e)
+    return low
 
 
 def _softmax_last(xv: np.ndarray) -> np.ndarray:
     # max-subtraction keeps exp in range for any finite input; every step
-    # after it works in place, so the result is the only array allocated.
-    # Probabilities below 2.2e-308 are flushed to exactly 0: numpy's exp
-    # leaves its vector loop where its result would be subnormal or underflow,
-    # and such an entry cannot change its row's sum, which is at least 1.  The
-    # flush holds one boolean mask, and a call with no entry below the
-    # threshold skips it.
+    # after it works in place, so the result is the only array allocated
     e = xv - xv.max(axis=-1, keepdims=True)
-    if e.min() < _LOG_TINY:
-        keep = e >= _LOG_TINY
-        np.exp(e, out=e, where=keep)
-        np.copyto(e, 0.0, where=np.logical_not(keep, out=keep))
-    else:
-        np.exp(e, out=e)
+    _exp_flushed(e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
@@ -554,22 +567,27 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
         raise DimensionError(
             f"layer_norm needs ([B,]n,d) with (d,) gain/bias, got {xv.shape}, {gv.shape}, {bv.shape}"
         )
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = xv.var(axis=-1, keepdims=True)
+    # centred once; the variance is what np.var computes after centring
+    # again, and the row means are np.mean's sum-then-divide, bit for bit
+    d = xv.shape[-1]
+    xhat = xv - xv.mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv
+    xhat *= inv
+    out = xhat * gv
+    out += bv
 
     def bw(g):
         rows = tuple(range(xv.ndim - 1))
         dgain = (g * xhat).sum(axis=rows)
         dbias = g.sum(axis=rows)
         dxhat = g * gv
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d
         dx = inv * (dxhat - m1 - xhat * m2)
         return (dx, dgain, dbias)
 
-    return _dispatch(xhat * gv + bv, (x, gain, bias), bw)
+    return _dispatch(out, (x, gain, bias), bw)
 
 
 @_quiet

@@ -248,11 +248,11 @@ def _check_distance_vs_factored(seed: int):
 
 def _check_causal_prefix(seed: int):
     rng = np.random.default_rng([seed, 10])
-    tiny = np.finfo(np.float64).tiny
     worst, band_steps = 0.0, 0
     for trial in range(15):
         # the last three trials scale q so that S_Q's row softmax reaches the
-        # band where exp is subnormal, which the step flushes to 0
+        # flush band: shifted logits below the flush threshold whose exp is
+        # not 0, which the step sets to exactly 0
         long = trial >= 12
         n, d, c = (40 if long else 10), 4, 2
         sigma1 = ("softmax", "relu", "identity")[trial % 3]
@@ -270,9 +270,9 @@ def _check_causal_prefix(seed: int):
             )
             worst = max(worst, float(np.abs(out_t.data[0] - full.data[t - 1]).max()))
             s_q = state.s_q.data
-            p = np.exp(s_q - s_q.max(axis=-1, keepdims=True))
-            band_steps += bool(((p > 0) & (p < tiny)).any())
-    detail = f"max abs err {worst:.3e} (tol 1e-10), {band_steps} steps in the subnormal band"
+            shifted = s_q - s_q.max(axis=-1, keepdims=True)
+            band_steps += bool(((shifted < T._FLUSH_BELOW) & (np.exp(shifted) > 0)).any())
+    detail = f"max abs err {worst:.3e} (tol 1e-10), {band_steps} steps in the flush band"
     return worst <= 1e-10 and band_steps > 0, detail
 
 

@@ -545,10 +545,37 @@ class TestCausalCov:
             with pytest.raises(ContractError):
                 causal_amlp_cov_step(causal_amlp_cov_init(3), big, big, big, params)
 
+    def test_overflow_in_key_value_sums_raises_contract_error_without_warning(self):
+        # q of order 1 and k near 1e100 keep S_Q and S_K finite, and only
+        # z = k^T v overflows: the shifted logits of z's slice must catch it
+        params = cov_params(np.random.default_rng(36), 2, 3)
+        q = Tensor(np.random.default_rng(37).standard_normal((1, 3)))
+        k = Tensor(np.full((1, 3), 1e100))
+        v = Tensor(np.array([[1e250, -1e250, 1e250]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="causal state"):
+                causal_amlp_cov_step(causal_amlp_cov_init(3), q, k, v, params)
+
+    def test_state_equals_running_sums_bit_for_bit(self):
+        rng = np.random.default_rng(38)
+        d = 5
+        params = cov_params(rng, 2, d)
+        state = causal_amlp_cov_init(d)
+        s_q = s_k = z = np.zeros((d, d))
+        for _ in range(30):
+            q, k, v = (rng.standard_normal((1, d)) for _ in range(3))
+            _, state = causal_amlp_cov_step(state, Tensor(q), Tensor(k), Tensor(v), params)
+            s_q, s_k, z = s_q + q.T @ q, s_k + k.T @ k, z + k.T @ v
+        for got, want in ((state.s_q, s_q), (state.s_k, s_k), (state.z, z)):
+            assert np.array_equal(got.data, want)
+
     @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
     def test_step_bit_identical_to_row_softmax_restatement(self, sigma1):
-        # the step's arithmetic, restated with the row softmax it used to
-        # carry as its own helper; the shared softmax must not change a bit
+        # the step's arithmetic, restated in its order of operations: the row
+        # softmaxes of S_Q, S_K and z reduce along the columns of their stacked
+        # transposes, shifted logits below -700 are flushed to 0, and each
+        # 1/rowsum is folded into c_q, c_k or the hidden row
         def softmax_rows(a):
             e = np.exp(a - a.max(axis=-1, keepdims=True))
             return e / e.sum(axis=-1, keepdims=True)
@@ -564,13 +591,18 @@ class TestCausalCov:
             qt, kt, vt = q[t : t + 1], k[t : t + 1], v[t : t + 1]
             out_t, state = causal_amlp_cov_step(state, Tensor(qt), Tensor(kt), Tensor(vt), params)
             s_q, s_k, z = s_q + qt.T @ qt, s_k + kt.T @ kt, z + kt.T @ vt
-            lt = cq @ softmax_rows(s_q) + ck @ softmax_rows(s_k)
+            stacked = np.array((s_q.T, s_k.T, z.T))  # C-ordered, as the state
+            shifted = stacked - stacked.max(axis=-2, keepdims=True)
+            e = np.exp(np.maximum(shifted, -700.0))
+            e[shifted < -700.0] = 0.0
+            r_q, r_k, r_z = e.sum(axis=-2)
+            lt = (cq / r_q) @ e[0].T + (ck / r_k) @ e[1].T
             hidden = qt @ lt.T
             if sigma1 == "softmax":
                 hidden = softmax_rows(hidden)
             elif sigma1 == "relu":
                 hidden = np.maximum(hidden, 0.0)
-            assert np.array_equal(out_t.data, hidden @ (lt @ softmax_rows(z))), t
+            assert np.array_equal(out_t.data, ((hidden @ lt) / r_z) @ e[2].T), t
 
     def test_width_mismatch(self):
         params = cov_params(np.random.default_rng(31), 2, 4)

@@ -229,6 +229,23 @@ class TestSoftmax:
             np.testing.assert_array_equal(out[~flushed], ref[~flushed])
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
+    def test_flushes_shifted_logits_below_minus_700(self):
+        # shifted logits in [-708.4, -700): exp is still normal there, but
+        # the flush keeps a margin below the -708 where numpy's exp leaves its
+        # vector loop, so they too become exactly 0
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-5.0, 0.0, (6, 40))
+        x[:, 0] = 0.0  # the row max
+        x[:, 1::4] = rng.uniform(math.log(np.finfo(np.float64).tiny), -700.0, (6, 10))
+        for xv in (x, x + 300.0, (x - 1e3)[None]):
+            shifted = xv - xv.max(axis=-1, keepdims=True)
+            flushed = shifted < -700.0
+            ref = _softmax_three_arrays(xv)
+            assert flushed.sum() >= 50 and (ref[flushed] > 0).all()
+            out = T._softmax_last(xv)
+            assert (out[flushed] == 0.0).all()
+            assert np.array_equal(out[~flushed], ref[~flushed])
+
     def test_flush_peak_holds_one_output_array_and_a_mask(self):
         xv = np.random.default_rng(41).standard_normal((512, 512)) * 400
         assert (xv - xv.max(axis=-1, keepdims=True)).min() < math.log(np.finfo(np.float64).tiny)
