@@ -29,7 +29,6 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
-    Var,
     _batch_shape,
     _exp_flushed,
     _quiet,
@@ -79,10 +78,6 @@ class ConfigError(ValueError):
 
 class NotPsdError(ContractError):
     """A matrix required to be positive semi-definite has negative spectrum."""
-
-
-def _data(x) -> np.ndarray:
-    return x.tensor.data if isinstance(x, Var) else x.data
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,7 @@ def low_rank_factor(sigma: Tensor, c: int) -> LowRankFactor:
     eigenvectors are kept is therefore eigh's choice; the approximation error
     and ``dropped_mass`` do not depend on it.
     """
-    sv = _data(sigma)
+    sv = sigma.data
     if sv.ndim != 2 or sv.shape[0] != sv.shape[1]:
         raise DimensionError(f"need a square matrix, got shape {sv.shape}")
     d = sv.shape[0]
@@ -273,7 +268,7 @@ def distance_attention(inputs: AttentionInputs, sigma):
     The association order Q (S (K^T V)) keeps every intermediate at d x d or
     rows x d; no n x m matrix is ever formed.
     """
-    sv = _data(sigma)
+    sv = sigma.data
     if sv.ndim != 2 or sv.shape != (inputs.d, inputs.d):
         raise DimensionError(f"distance matrix must be {inputs.d} square, got {sv.shape}")
     if np.abs(sv - sv.T).max() > 1e-9:
@@ -416,7 +411,7 @@ def causal_amlp_cov_step(
     Raises ContractError when the new sums, or the max-shift of one of their
     rows, are not finite.
     """
-    qv, kv, vv = _data(q_t), _data(k_t), _data(v_t)
+    qv, kv, vv = q_t.data, k_t.data, v_t.data
     d = state.sums.shape[-1]
     for name, a in (("q_t", qv), ("k_t", kv), ("v_t", vv)):
         if a.shape != (1, d):
@@ -436,7 +431,7 @@ def causal_amlp_cov_step(
     new_state = CausalCovState(sums=Tensor._wrap(sums, finite=True), t=state.t + 1)
 
     r_q, r_k, r_z = e.sum(axis=-2)
-    lt = (_data(params.c_q) / r_q) @ e[0].T + (_data(params.c_k) / r_k) @ e[1].T
+    lt = (params.c_q.data / r_q) @ e[0].T + (params.c_k.data / r_k) @ e[1].T
     hidden = qv @ lt.T
     if params.sigma1 == "softmax":
         hidden = _softmax_last(hidden)

@@ -40,6 +40,7 @@ from .narmodel import (
     NarConfig,
     NarModel,
     SyntheticTask,
+    _check_seed,
     evaluate,
     train,
 )
@@ -109,6 +110,7 @@ class BenchConfig:
         if self.batch < 1 or self.warmup < 0:
             raise ConfigError("batch must be >= 1 and warmup >= 0")
         _check_sigma1(self.sigma1)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -265,18 +265,14 @@ def _cmd_train(s, parser) -> int:
     )
     task = SyntheticTask(s["task"], vocab=s["vocab"], length=s["len"], seed=s["seed"] + 1)
     model = NarModel(config)
-    if s["steps"] > 0:
 
-        def log(step, loss):
-            if step % 100 == 1:  # the log numbers steps from 0
-                print(f"step {step - 1} loss {loss:.6f}")
+    def log(step, loss):
+        if step % 100 == 1:  # the log numbers steps from 0
+            print(f"step {step - 1} loss {loss:.6f}")
 
-        train(model, task, s["steps"], s["batch_size"], on_step=log)
-        accuracy = evaluate(model, task, s["eval_samples"])
-        print(f"final accuracy {accuracy:.4f}")
-    else:
-        accuracy = evaluate(model, task, s["eval_samples"])
-        print(f"initial accuracy {accuracy:.4f}")
+    train(model, task, s["steps"], s["batch_size"], on_step=log)
+    accuracy = evaluate(model, task, s["eval_samples"])
+    print(f"{'final' if s['steps'] else 'initial'} accuracy {accuracy:.4f}")
     if s["ckpt"]:
         save_checkpoint(model, s["ckpt"])
         print(f"checkpoint written to {s['ckpt']}", file=sys.stderr)
@@ -289,9 +285,9 @@ def _cmd_eval(s, parser) -> int:
     if s["eval_samples"] < 1:
         parser.error(f"eval_samples must be >= 1, got {s['eval_samples']}")
     model = load_checkpoint(s["ckpt"])
-    cfg = model.config
     if s["seed"] is None:
-        s["seed"] = cfg.seed  # the split `train` evaluates on
+        s["seed"] = model.config.seed  # the split `train` evaluates on
+    cfg = dataclasses.replace(model.config, seed=s["seed"])  # NarConfig checks the seed
     _echo_config("eval", s)
     task = SyntheticTask(s["task"], vocab=cfg.vocab_size, length=cfg.seq_len, seed=s["seed"] + 1)
     print(f"accuracy {evaluate(model, task, s['eval_samples']):.4f}")

@@ -68,6 +68,12 @@ class InputError(ValueError):
     """Model input (token ids, sequence length) is malformed."""
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators take only non-negative seeds
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class NarConfig:
     vocab_size: int = 16
@@ -97,6 +103,7 @@ class NarConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not math.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -116,6 +123,7 @@ class SyntheticTask:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
+        _check_seed(self.seed)
 
     def _target(self, source: np.ndarray) -> np.ndarray:
         return source.copy() if self.kind == "copy" else source[::-1].copy()
@@ -260,7 +268,7 @@ class NarModel:
         sources = self._check_source([source for source, _ in batch])
         targets = np.asarray([target for _, target in batch], dtype=np.int64)
         tape = Tape()
-        p = {k: tape.leaf(Tensor(v), requires_grad=True) for k, v in self.params.items()}
+        p = {k: tape.leaf(Tensor(v)) for k, v in self.params.items()}
         loss = cross_entropy(self._forward(sources, p), targets)
         backward(tape, loss)
         return loss.item(), {name: var.grad.data for name, var in p.items()}
@@ -309,8 +317,10 @@ def train(
 
     After each step, ``on_step(step, loss)`` gets the number of steps taken so
     far (1 for the first) and that step's loss; a truthy return stops training
-    there.
+    there.  Zero steps leave the model as it is.
     """
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
     losses: list[float] = []
     batches = task.stream(batch_size, split="train")
     for step in range(1, steps + 1):

@@ -1,9 +1,9 @@
 """Dense float64 arrays, a reverse-mode tape, and a finite-difference gradient checker.
 
 Everything downstream (attention mechanisms, the toy sequence model) is built
-from the small op vocabulary in this module.  Ops accept either plain Tensors
-(pure evaluation) or Vars bound to a Tape (recorded, differentiable); the two
-modes share one code path.
+from the small op vocabulary in this module.  Ops accept plain Tensors (pure
+evaluation) and Vars, the Tensors recorded on a Tape (differentiable); the
+two modes share one code path, and an op with any Var operand returns a Var.
 
 Tensors have rank 0 to 4.  The matrix ops act on the last two axes of
 operands of rank 2 to 4; the axes before them are batch axes (a batch of
@@ -15,16 +15,17 @@ every source), and its gradient is summed over them.  Elementwise ops need
 matching extents on the last two axes.  Extents that do not broadcast raise
 DimensionError.
 
-``transpose``, ``slice_cols`` and ``split_heads`` return read-only views of
-their operand, not copies: numpy hands transposed and strided operands
-straight to BLAS, so nothing is copied until an op has to compute.
-``concat`` joins any number of operands in one copy, ``merge_heads`` moves a
-head axis back into the feature axis in at most one, and ``stack`` joins
-operands of one shape along a new leading axis.
+``transpose`` and ``split_heads`` return read-only views of their operand,
+not copies: numpy hands transposed and strided operands straight to BLAS, so
+nothing is copied until an op has to compute.  ``concat`` joins any number of
+operands in one copy, ``merge_heads`` moves a head axis back into the feature
+axis in at most one, and ``stack`` joins operands of one shape along a new
+leading axis.
 
-A Tape records, per node, its input ids, its backward rule and whether it
-needs a gradient.  Of the Vars it holds only its requires-grad leaves, and
-only until ``backward`` has assigned their gradients: ``.grad`` is set on
+A Tape records, per node, its input ids and its backward rule.  Every leaf
+(``Tape.leaf``) gets a gradient; a constant is passed to an op as a plain
+Tensor, so it records no node.  Of the Vars the tape holds only its leaves,
+and only until ``backward`` has assigned their gradients: ``.grad`` is set on
 those leaves and nowhere else.  An op output is held by its caller alone, so
 a dropped intermediate is freed during the forward pass, and a spent graph
 is freed by reference counting as soon as the caller drops its Vars.
@@ -57,14 +58,12 @@ __all__ = [
     "matmul",
     "transpose",
     "add",
-    "sub",
     "mul",
     "scale",
     "add_bias",
     "relu",
     "softmax",
     "concat",
-    "slice_cols",
     "split_heads",
     "merge_heads",
     "stack",
@@ -138,14 +137,14 @@ class Tensor:
         return self.data.tolist()
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
+        return f"{type(self).__name__}(shape={self.shape})"
 
 
-def _adopt(arr: np.ndarray, finite: bool = False) -> Tensor:
+def _adopt(arr: np.ndarray, finite: bool = False, cls: type = Tensor) -> Tensor:
     """``Tensor._wrap`` for ops, which hold ``_quiet`` already (entering it costs ~1 us)."""
     _check_array(arr, finite)
     arr.setflags(write=False)
-    obj = object.__new__(Tensor)
+    obj = object.__new__(cls)
     obj.data = arr
     return obj
 
@@ -169,43 +168,27 @@ def _check_array(arr: np.ndarray, finite: bool = False) -> None:
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, Var):
-        return x.tensor
-    return Tensor(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class Var:
-    """Handle to a value recorded on a Tape.
+class Var(Tensor):
+    """A Tensor recorded on a Tape: a leaf (made by ``Tape.leaf``) or an op output.
 
-    ``grad`` is populated by ``backward`` for requires-grad leaves (made by
-    ``Tape.leaf``) and stays None on every other Var; it always matches the
-    value's shape.  A Var is only meaningful on the Tape that created it.
+    ``grad`` is populated by ``backward`` for leaves and stays None on op
+    outputs; it always matches the value's shape.  A Var is only meaningful
+    on the Tape that created it.
     """
 
-    __slots__ = ("tensor", "node_id", "requires_grad", "tape", "_grad")
-
-    def __init__(self, tensor: Tensor, node_id: int, requires_grad: bool, tape: "Tape"):
-        self.tensor = tensor
-        self.node_id = node_id
-        self.requires_grad = requires_grad
-        self.tape = tape
-        self._grad: Tensor | None = None
+    __slots__ = ("node_id", "tape", "_grad")
 
     @property
     def grad(self) -> Tensor | None:
         return self._grad
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.tensor.shape
-
-    def item(self) -> float:
-        return self.tensor.item()
-
-    def __repr__(self) -> str:
-        return f"Var(shape={self.shape}, requires_grad={self.requires_grad})"
+    def tensor(self) -> "Var":
+        # kept only because perfbench/tracing.py reads ``result.tensor.data``
+        return self
 
 
 class Tape:
@@ -213,11 +196,11 @@ class Tape:
 
     Build once, backward once.  A Tape and its Vars belong to one logical
     thread; distinct Tapes may be used concurrently.  Each node is a tuple
-    (input node ids, backward rule, requires grad); an operand that is not a
-    Var is recorded as input id None and gets no node.  The tape holds no op
-    outputs, and holds its requires-grad leaves only until ``backward`` has
-    assigned their gradients, so a spent tape is freed by reference counting
-    as soon as the caller's Vars go; ``len`` still reports the node count.
+    (input node ids, backward rule); an operand that is not a Var is recorded
+    as input id None and gets no node.  The tape holds no op outputs, and
+    holds its leaves only until ``backward`` has assigned their gradients, so
+    a spent tape is freed by reference counting as soon as the caller's Vars
+    go; ``len`` still reports the node count.
     """
 
     def __init__(self) -> None:
@@ -228,12 +211,18 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def leaf(self, value, requires_grad: bool = False) -> Var:
-        """Enter a value onto the tape as an input node."""
-        v = Var(_as_tensor(value), len(self._nodes), requires_grad, self)
-        self._nodes.append(((), None, requires_grad))
-        if requires_grad:
-            self._leaves.append(v)
+    def leaf(self, value) -> Var:
+        """Enter a value onto the tape as an input node; ``backward`` gives it a gradient."""
+        v = object.__new__(Var)
+        v.data = _as_tensor(value).data
+        self._leaves.append(self._record(v, (), None))
+        return v
+
+    def _record(self, v: Var, inputs: tuple, bw: Callable | None) -> Var:
+        v.node_id = len(self._nodes)
+        v.tape = self
+        v._grad = None
+        self._nodes.append((inputs, bw))
         return v
 
 
@@ -253,21 +242,17 @@ def _val(x) -> np.ndarray:
 
 
 def _dispatch(out: np.ndarray, operands: tuple, bw: Callable, finite: bool = False):
-    """Return a Tensor, or record a Var if any operand lives on a tape.
+    """Return a Tensor, or record a Var if any operand is one.
 
     ``bw`` maps the output's gradient to one gradient per operand.
     ``finite`` marks an output that is finite because its (already checked)
     operands are, so it needs no finiteness check.
     """
     tape = _tape_of(*operands)
-    wrapped = _adopt(out, finite)
     if tape is None:
-        return wrapped
+        return _adopt(out, finite)
     ids = tuple(x.node_id if isinstance(x, Var) else None for x in operands)
-    requires = any(isinstance(x, Var) and x.requires_grad for x in operands)
-    v = Var(wrapped, len(tape._nodes), requires, tape)
-    tape._nodes.append((ids, bw, requires))
-    return v
+    return tape._record(_adopt(out, finite, Var), ids, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +336,6 @@ def add(a, b):
     av, bv = _val(a), _val(b)
     out = _elementwise("add", np.add, av, bv)
     return _dispatch(out, (a, b), lambda g: (_unbatch(g, av.shape), _unbatch(g, bv.shape)))
-
-
-@_quiet
-def sub(a, b):
-    av, bv = _val(a), _val(b)
-    out = _elementwise("sub", np.subtract, av, bv)
-    return _dispatch(out, (a, b), lambda g: (_unbatch(g, av.shape), -_unbatch(g, bv.shape)))
 
 
 @_quiet
@@ -470,21 +448,6 @@ def concat(*parts, axis: int):
         return tuple(_unbatch(gp, shape) for gp, shape in zip(np.split(g, splits, axis=ax), shapes))
 
     return _dispatch(out, parts, bw, finite=True)
-
-
-def slice_cols(x, start: int, stop: int):
-    """Contiguous slice of the last axis of an operand of rank 2 to 4; returns a read-only view."""
-    xv = _val(x)
-    _check_rank("slice_cols", xv)
-    if not (0 <= start < stop <= xv.shape[-1]):
-        raise DimensionError(f"slice [{start}:{stop}] out of range for shape {xv.shape}")
-
-    def bw(g):
-        full = np.zeros_like(xv)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _dispatch(xv[..., start:stop], (x,), bw, finite=True)
 
 
 def split_heads(x, heads: int):
@@ -626,12 +589,17 @@ def cross_entropy(logits, targets):
     lv = full.reshape(-1, full.shape[-1])
     idx = idx.reshape(-1)
     n = lv.shape[0]
-    shifted = lv - lv.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + lv.max(axis=1)
+    # one softmax serves both passes: the forward's log-sum-exp and the
+    # backward's probabilities share the row max, the flushed exps and their sums
+    top = lv.max(axis=1, keepdims=True)
+    e = lv - top
+    _exp_flushed(e)
+    total = e.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + top[:, 0]
     out = np.asarray((lse - lv[np.arange(n), idx]).mean())
 
     def bw(g):
-        dl = _softmax_last(lv)
+        dl = e / total
         dl[np.arange(n), idx] -= 1.0
         return ((dl * (float(g) / n)).reshape(full.shape),)
 
@@ -645,30 +613,30 @@ def cross_entropy(logits, targets):
 
 @_quiet
 def backward(tape: Tape, loss: Var) -> None:
-    """Populate .grad on every requires-grad leaf of the tape from the scalar loss.
+    """Populate .grad on every leaf of the tape from the scalar loss.
 
     A leaf the loss does not reach gets a zero gradient.  Every leaf gradient
     is checked to be finite; op outputs get no ``.grad``.
     """
     if not isinstance(loss, Var) or loss.tape is not tape:
         raise ContractError("loss was not produced on this tape")
-    if loss.tensor.size != 1:
-        raise ContractError(f"loss must be scalar, got shape {loss.tensor.shape}")
+    if loss.size != 1:
+        raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     if tape._spent:
         raise ContractError("backward already ran on this tape")
     tape._spent = True
 
     grads: list[np.ndarray | None] = [None] * len(tape._nodes)
-    grads[loss.node_id] = np.ones_like(loss.tensor.data)
+    grads[loss.node_id] = np.ones_like(loss.data)
 
     nodes = tape._nodes
     for nid in range(loss.node_id, -1, -1):
-        inputs, bw, requires = nodes[nid]
+        inputs, bw = nodes[nid]
         g = grads[nid]
-        if g is None or bw is None or not requires:
+        if g is None or bw is None:
             continue
         for iid, contrib in zip(inputs, bw(g)):
-            if iid is None or contrib is None or not nodes[iid][2]:
+            if iid is None:
                 continue
             # contributions are never mutated, so aliasing g is fine
             if grads[iid] is None:
@@ -679,7 +647,7 @@ def backward(tape: Tape, loss: Var) -> None:
     for v in tape._leaves:
         g = grads[v.node_id]
         if g is None:
-            g = np.zeros_like(v.tensor.data)
+            g = np.zeros_like(v.data)
         v._grad = _adopt(np.asarray(g, dtype=np.float64))
     # the leaves hold the tape, and this list was the tape's only hold on them:
     # dropping it lets reference counting free the graph without the cyclic gc
@@ -712,7 +680,7 @@ def finite_difference_check(f, params, h: float = 1e-4, tol: float = 1e-4) -> li
     base = [_as_tensor(p) for p in params]
 
     tape = Tape()
-    vs = [tape.leaf(p, requires_grad=True) for p in base]
+    vs = [tape.leaf(p) for p in base]
     out = f(*vs)
     backward(tape, out)
     analytic = [v.grad.data for v in vs]

@@ -33,7 +33,7 @@ from .attention import (
     multi_head_forward,
     softmax_attention,
 )
-from .narmodel import NarConfig, NarModel, load_checkpoint, save_checkpoint
+from .narmodel import NarConfig, NarModel, _check_seed, load_checkpoint, save_checkpoint
 from .bench import iqr_filter
 from .tensor import Tensor, finite_difference_check, matmul, softmax, sum_all
 
@@ -311,6 +311,7 @@ _PROPERTIES = [
 
 def run_verification(seed: int = 0, break_gradients: bool = False) -> list[PropertyResult]:
     """Run every property; break_gradients turns on the negative control."""
+    _check_seed(seed)
     results = []
     for name, fn in _PROPERTIES:
         args = (seed, break_gradients) if name.startswith("gradient_") else (seed,)

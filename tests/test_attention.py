@@ -890,7 +890,7 @@ class TestModuleGradients:
         probe = Tensor(rng.standard_normal((4, d)))
 
         tape = Tape()
-        vv = tape.leaf(v, requires_grad=True)
+        vv = tape.leaf(v)
         out = amlp_cov_forward(AttentionInputs(q, k, vv), params)
         backward(tape, sum_all(out))
         assert np.abs(vv.grad.data).max() < 1e-15

@@ -9,7 +9,7 @@ import pytest
 from attentive_mlp import bench, cli
 from attentive_mlp.bench import BenchConfig
 from attentive_mlp.cli import main
-from attentive_mlp.narmodel import load_checkpoint
+from attentive_mlp.narmodel import NarConfig, NarModel, load_checkpoint, save_checkpoint
 
 TINY_TRAIN = [
     "--vocab", "7", "--len", "4", "--d-model", "8", "--heads", "2", "--c", "2",
@@ -322,6 +322,8 @@ class TestSettings:
             "task": "copy", "steps": "1", "vocab": "7", "len": "4", "d_model": "8",
             "heads": "2", "c": "2", "batch_size": "2", "eval_samples": "16",
         },
+        "eval": {"eval_samples": "16"},
+        "verify": {},
     }
 
     @pytest.mark.parametrize("source", ["flag", "file"])
@@ -336,12 +338,24 @@ class TestSettings:
             ("train", {"len": "0"}),
             ("train", {"vocab": "0"}),
             ("train", {"lr": "nan"}),
+            ("train", {"steps": "-1"}),
+            ("train", {"seed": "-1"}),
+            ("bench", {"seed": "-1"}),
+            ("sweep", {"seed": "-1"}),
+            ("eval", {"seed": "-1"}),
+            ("eval", {"seed": "-2"}),
+            ("verify", {"seed": "-1"}),
         ],
         ids=["bench-sigma1", "bench-arch-empty", "sweep-c-empty", "train-sigma1", "beta", "len",
-             "vocab", "lr"],
+             "vocab", "lr", "train-steps", "train-seed", "bench-seed", "sweep-seed", "eval-seed",
+             "eval-seed-2", "verify-seed"],
     )
     def test_bad_setting_is_one_line_usage_error(self, command, bad, source, tmp_path, capsys):
         settings = {**self.BASE[command], **bad}
+        if command == "eval":
+            settings["ckpt"] = str(tmp_path / "model.ckpt")
+            config = NarConfig(vocab_size=7, seq_len=4, source_len=4, d_model=8, heads=2, c=2)
+            save_checkpoint(NarModel(config), settings["ckpt"])
         if source == "flag":
             argv = [command] + [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)]
         else:

@@ -194,7 +194,7 @@ class TestBatchedTape:
         losses, summed = [], {k: np.zeros_like(v) for k, v in model.params.items()}
         for source, target in batch:
             tape = Tape()
-            p = {k: tape.leaf(Tensor(v), requires_grad=True) for k, v in model.params.items()}
+            p = {k: tape.leaf(Tensor(v)) for k, v in model.params.items()}
             sample_loss = cross_entropy(model._forward(source, p), target)
             backward(tape, sample_loss)
             losses.append(sample_loss.item())

@@ -1,7 +1,9 @@
 """Core array type, tape, and gradient checker."""
 
+import ast
 import gc
 import math
+import pathlib
 import tracemalloc
 import warnings
 import weakref
@@ -31,11 +33,9 @@ from attentive_mlp.tensor import (
     mul,
     relu,
     scale,
-    slice_cols,
     softmax,
     split_heads,
     stack,
-    sub,
     sum_all,
     transpose,
 )
@@ -98,13 +98,13 @@ class TestTensor:
 
         def overflowing_backward():
             tape = Tape()
-            x = tape.leaf(Tensor(np.full((2, 2), 1e-300)), requires_grad=True)
+            x = tape.leaf(Tensor(np.full((2, 2), 1e-300)))
             # the forward is finite; the gradient of x, ones @ w.T, overflows
             backward(tape, sum_all(matmul(x, largest)))
 
         def overflow_through_an_intermediate():
             tape = Tape()
-            x = tape.leaf(Tensor(np.full((2, 2), 1e-300)), requires_grad=True)
+            x = tape.leaf(Tensor(np.full((2, 2), 1e-300)))
             h = relu(matmul(x, Tensor(np.ones((2, 2)))))
             # only leaf gradients are checked: the first non-finite one is the
             # intermediate d loss / d h = ones @ largest.T, and it flows on into x's
@@ -305,49 +305,43 @@ class TestElementwiseAndShape:
         with pytest.raises(DimensionError):
             concat(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))), axis=1)
 
-    def test_slice_cols_roundtrip(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((4, 6))
-        part = slice_cols(Tensor(m), 2, 5)
-        np.testing.assert_array_equal(part.data, m[:, 2:5])
-
-    def test_add_sub_shape_check(self):
+    def test_add_shape_check(self):
         with pytest.raises(DimensionError):
             add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
         with pytest.raises(DimensionError):
-            sub(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
         tape = Tape()
-        m = tape.leaf(Tensor(np.random.default_rng(0).standard_normal((3, 4))), requires_grad=True)
+        m = tape.leaf(Tensor(np.random.default_rng(0).standard_normal((3, 4))))
         backward(tape, sum_all(m))
         np.testing.assert_array_equal(m.grad.data, np.ones((3, 4)))
 
     def test_bilinear_rule(self):
         rng = np.random.default_rng(1)
         tape = Tape()
-        a = tape.leaf(Tensor(rng.standard_normal((3, 4))), requires_grad=True)
+        a = tape.leaf(Tensor(rng.standard_normal((3, 4))))
         b_val = rng.standard_normal((4, 2))
         backward(tape, sum_all(matmul(a, Tensor(b_val))))
         np.testing.assert_allclose(a.grad.data, np.ones((3, 2)) @ b_val.T, atol=1e-12)
 
     def test_softmax_sum_grad_is_zero(self):
         tape = Tape()
-        x = tape.leaf(Tensor(np.random.default_rng(2).standard_normal((4, 5))), requires_grad=True)
+        x = tape.leaf(Tensor(np.random.default_rng(2).standard_normal((4, 5))))
         backward(tape, sum_all(softmax(x)))
         assert np.abs(x.grad.data).max() < 1e-12
 
     def test_non_scalar_loss_rejected(self):
         tape = Tape()
-        x = tape.leaf(Tensor(np.ones((2, 2))), requires_grad=True)
+        x = tape.leaf(Tensor(np.ones((2, 2))))
         with pytest.raises(ContractError):
             backward(tape, relu(x))
 
     def test_backward_runs_once(self):
         tape = Tape()
-        x = tape.leaf(Tensor(np.ones(3)), requires_grad=True)
+        x = tape.leaf(Tensor(np.ones(3)))
         loss = sum_all(x)
         assert len(tape) == 2
         backward(tape, loss)
@@ -357,36 +351,45 @@ class TestBackward:
 
     def test_vars_from_different_tapes_rejected(self):
         t1, t2 = Tape(), Tape()
-        a = t1.leaf(Tensor(np.ones(2)), requires_grad=True)
-        b = t2.leaf(Tensor(np.ones(2)), requires_grad=True)
+        a = t1.leaf(Tensor(np.ones(2)))
+        b = t2.leaf(Tensor(np.ones(2)))
         with pytest.raises(ContractError):
             add(a, b)
         with pytest.raises(ContractError):
             backward(t1, sum_all(b))
 
-    def test_no_grad_without_requires(self):
-        tape = Tape()
-        x = tape.leaf(Tensor(np.ones(3)), requires_grad=False)
-        y = tape.leaf(Tensor(np.ones(3)), requires_grad=True)
-        backward(tape, sum_all(add(x, y)))
-        assert x.grad is None
-        assert y.grad is not None
-
     def test_grad_lands_on_leaves_only(self):
         tape = Tape()
-        x = tape.leaf(Tensor(np.ones((2, 3))), requires_grad=True)
+        x = tape.leaf(Tensor(np.ones((2, 3))))
         h = relu(x)
         backward(tape, sum_all(h))
-        assert h.requires_grad and h.grad is None
+        assert h.grad is None
         np.testing.assert_array_equal(x.grad.data, np.ones((2, 3)))
 
     def test_constant_operand_records_no_node(self):
+        # a constant is a plain Tensor: it records no node and has no gradient,
+        # while every leaf gets one, a zero one if the loss does not reach it
         tape = Tape()
-        x = tape.leaf(Tensor(np.ones(3)), requires_grad=True)
-        loss = sum_all(add(x, Tensor(np.ones(3))))
-        assert len(tape) == 3  # the leaf, add and sum_all
+        x = tape.leaf(Tensor(np.ones(3)))
+        unused = tape.leaf(Tensor(np.ones(2)))
+        const = Tensor(np.ones(3))
+        loss = sum_all(add(x, const))
+        assert len(tape) == 4  # the two leaves, add and sum_all
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad.data, np.ones(3))
+        np.testing.assert_array_equal(unused.grad.data, np.zeros(2))
+        assert not isinstance(const, T.Var) and not hasattr(const, "grad")
+
+    def test_var_is_a_tensor(self):
+        tape = Tape()
+        x = tape.leaf(Tensor(np.arange(6.0).reshape(2, 3)))
+        h = relu(x)
+        for v in (x, h):
+            assert isinstance(v, Tensor) and isinstance(v, T.Var)
+            assert v.tensor is v
+        assert h.shape == (2, 3) and h.size == 6
+        assert sum_all(h).item() == 15.0
+        assert repr(h) == "Var(shape=(2, 3))"
 
     def test_dropped_intermediate_is_freed_during_forward(self):
         # the tape holds no op output, so reference counting alone frees one
@@ -394,10 +397,10 @@ class TestBackward:
         gc.disable()
         try:
             tape = Tape()
-            x = tape.leaf(Tensor(np.ones((3, 4))), requires_grad=True)
+            x = tape.leaf(Tensor(np.ones((3, 4))))
             t = matmul(x, Tensor(np.ones((4, 2))))
             u = scale(t, 2.0)
-            data = weakref.ref(t.tensor.data)
+            data = weakref.ref(t.data)
             del t
             assert data() is None
             backward(tape, sum_all(u))
@@ -409,8 +412,8 @@ class TestBackward:
         def grads():
             rng = np.random.default_rng(5)
             tape = Tape()
-            a = tape.leaf(Tensor(rng.standard_normal((4, 4))), requires_grad=True)
-            b = tape.leaf(Tensor(rng.standard_normal((4, 4))), requires_grad=True)
+            a = tape.leaf(Tensor(rng.standard_normal((4, 4))))
+            b = tape.leaf(Tensor(rng.standard_normal((4, 4))))
             out = sum_all(softmax(matmul(relu(a), b)))
             backward(tape, out)
             return a.grad.data, b.grad.data
@@ -436,8 +439,6 @@ def _grad_case(name, rng):
         return _probed(rng, matmul, (5, 4), (4, 3), probe_shape=(5, 3))
     if name == "add":
         return _probed(rng, add, (4, 4), (4, 4), probe_shape=(4, 4))
-    if name == "sub":
-        return _probed(rng, sub, (4, 4), (4, 4), probe_shape=(4, 4))
     if name == "mul":
         return _probed(rng, mul, (4, 4), (4, 4), probe_shape=(4, 4))
     if name == "scale":
@@ -452,8 +453,6 @@ def _grad_case(name, rng):
         return _probed(rng, transpose, (4, 5), probe_shape=(5, 4))
     if name == "concat":
         return _probed(rng, lambda a, b: concat(a, b, axis=1), (3, 4), (3, 3), probe_shape=(3, 7))
-    if name == "slice_cols":
-        return _probed(rng, lambda a: slice_cols(a, 1, 4), (4, 6), probe_shape=(4, 3))
     if name == "split_heads":
         return _probed(rng, lambda a: split_heads(a, 2), (4, 6), probe_shape=(2, 4, 3))
     if name == "merge_heads":
@@ -479,7 +478,6 @@ class TestOpGradients:
     OPS = (
         "matmul",
         "add",
-        "sub",
         "mul",
         "scale",
         "add_bias",
@@ -487,7 +485,6 @@ class TestOpGradients:
         "softmax",
         "transpose",
         "concat",
-        "slice_cols",
         "split_heads",
         "merge_heads",
         "stack",
@@ -518,7 +515,7 @@ BATCHED_CASES = {
     "transpose": (transpose, [(2, 4, 5)], (2, 5, 4)),
     "add": (add, [(2, 4, 4), (2, 4, 4)], (2, 4, 4)),
     "add_param": (add, [(4, 3), (2, 4, 3)], (2, 4, 3)),
-    "sub_param": (sub, [(2, 4, 3), (4, 3)], (2, 4, 3)),
+    "add_param_right": (add, [(2, 4, 3), (4, 3)], (2, 4, 3)),
     "mul_param": (mul, [(2, 4, 3), (4, 3)], (2, 4, 3)),
     "add_bias": (add_bias, [(2, 4, 3), (3,)], (2, 4, 3)),
     "softmax": (softmax, [(2, 5, 7)], (2, 5, 7)),
@@ -530,7 +527,6 @@ BATCHED_CASES = {
         [(2, 3, 4), (3, 2), (2, 3, 5)],
         (2, 3, 11),
     ),
-    "slice_cols": (lambda a: slice_cols(a, 1, 4), [(2, 4, 6)], (2, 4, 3)),
     "ema": (lambda a: ema(a, 0.6), [(2, 6, 3)], (2, 6, 3)),
     "layer_norm": (layer_norm, [(2, 4, 5), (5,), (5,)], (2, 4, 5)),
     "gather_rows": (lambda t: gather_rows(t, [[0, 2, 2, 1], [4, 3, 0, 0]]), [(5, 3)], (2, 4, 3)),
@@ -541,7 +537,7 @@ BATCHED_CASES = {
     "matmul_heads_shared": (matmul, [(2, 3, 4, 5), (3, 5, 2)], (2, 3, 4, 2)),
     "matmul_extent_one": (matmul, [(2, 1, 4, 5), (3, 5, 2)], (2, 3, 4, 2)),
     "add_heads_shared": (add, [(3, 4, 2), (2, 3, 4, 2)], (2, 3, 4, 2)),
-    "sub_extent_one": (sub, [(2, 1, 4, 2), (3, 4, 2)], (2, 3, 4, 2)),
+    "add_extent_one": (add, [(2, 1, 4, 2), (3, 4, 2)], (2, 3, 4, 2)),
     "mul_extent_one": (mul, [(3, 4, 2), (2, 1, 4, 2)], (2, 3, 4, 2)),
     "scale_rank4": (lambda a: scale(a, -1.5), [(2, 3, 2, 2)], (2, 3, 2, 2)),
     "transpose_rank4": (transpose, [(2, 3, 4, 5)], (2, 3, 5, 4)),
@@ -577,6 +573,28 @@ class TestBatchedOpGradients:
         per_sample = [cross_entropy(Tensor(logits[b]), targets[b]).item() for b in range(2)]
         batched = cross_entropy(Tensor(logits), targets).item()
         assert abs(batched - np.mean(per_sample)) <= 1e-15 * abs(batched)
+
+    def test_cross_entropy_shares_the_flushed_softmax(self):
+        # spreads past -700: the shifted logits at -720 and -760 have a
+        # subnormal or zero exp, which the forward and the backward both flush
+        rng = np.random.default_rng(31)
+        logits = rng.standard_normal((2, 3, 5))
+        logits[0, 0, 1] -= 720.0
+        logits[0, 2, :3] -= 760.0
+        logits[1, 1, 4] += 1e6
+        targets = np.array([[0, 0, 4], [2, 4, 3]])
+        tape = Tape()
+        x = tape.leaf(Tensor(logits))
+        loss = cross_entropy(x, targets)
+        backward(tape, loss)
+        rows, idx = logits.reshape(-1, 5), targets.reshape(-1)
+        top = rows.max(axis=1)
+        lse = np.log(np.exp(rows - top[:, None]).sum(axis=1)) + top
+        np.testing.assert_allclose(loss.item(), np.mean(lse - rows[np.arange(6), idx]), rtol=1e-15)
+        expected = softmax(Tensor(rows)).data.copy()
+        expected[np.arange(6), idx] -= 1.0
+        np.testing.assert_array_equal(x.grad.data, (expected * (1.0 / 6)).reshape(logits.shape))
+        assert x.grad.data[0, 0, 1] == 0.0 and not x.grad.data[0, 2, :3].any()
 
     def test_batch_entries_computed_independently(self):
         rng = np.random.default_rng(23)
@@ -634,20 +652,16 @@ class TestBatchedOpGradients:
 
 
 class TestLayoutViews:
-    """transpose, slice_cols and split_heads hand back read-only views; concat copies."""
+    """transpose and split_heads hand back read-only views; concat copies."""
 
     @pytest.mark.parametrize(
-        "op",
-        [transpose, lambda a: slice_cols(a, 1, 3), lambda a: split_heads(a, 2)],
-        ids=["transpose", "slice_cols", "split_heads"],
+        "op", [transpose, lambda a: split_heads(a, 2)], ids=["transpose", "split_heads"]
     )
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["rank2", "rank3"])
     @pytest.mark.parametrize("on_tape", [False, True], ids=["tensor", "var"])
     def test_view_shares_memory_and_rejects_writes(self, op, shape, on_tape):
         x = Tensor(np.arange(np.prod(shape), dtype=np.float64).reshape(shape))
-        operand = Tape().leaf(x, requires_grad=True) if on_tape else x
-        out = op(operand)
-        data = out.tensor.data if on_tape else out.data
+        data = op(Tape().leaf(x) if on_tape else x).data
         assert np.shares_memory(data, x.data)
         with pytest.raises(ValueError):
             data[(0,) * data.ndim] = 1.0
@@ -709,7 +723,7 @@ class TestFiniteDifferenceCheck:
         assert reports[0].passed
         # analytic derivative of x^2 at 3 is 6; fd must agree to 1e-7
         tape = Tape()
-        v = tape.leaf(Tensor([3.0]), requires_grad=True)
+        v = tape.leaf(Tensor([3.0]))
         backward(tape, f(v))
         assert abs(v.grad.data[0] - 6.0) < 1e-12
 
@@ -741,3 +755,31 @@ class TestFiniteDifferenceCheck:
             f, [Tensor(np.random.default_rng(0).standard_normal(a_shape))]
         )
         assert not reports[0].passed
+
+
+class TestModuleSurface:
+    def test_every_export_has_a_caller(self):
+        # each name tensor exports is imported by another module of the
+        # package (``from .tensor import name`` or ``T.name``) or re-exported
+        # by its __init__
+        package = pathlib.Path(T.__file__).parent
+        used = set()
+        for path in package.glob("*.py"):
+            if path.name == "tensor.py":
+                continue
+            tree = ast.parse(path.read_text())
+            aliases = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    if node.module == "tensor":
+                        used.update(a.name for a in node.names)
+                    elif node.module is None:
+                        aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+            used.update(
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            )
+        assert sorted(set(T.__all__) - used) == []
