@@ -30,9 +30,14 @@ from .tensor import (
     DimensionError,
     Tensor,
     _batch_shape,
+    _check_finite,
+    _dispatch,
     _exp_flushed,
     _quiet,
+    _softmax_grad,
     _softmax_last,
+    _unbatch,
+    _val,
     add,
     concat,
     ema,
@@ -301,6 +306,9 @@ def _cov_weight_map(s_q, s_k, z, params: AmlpCovParams):
     """From the summaries Q^T Q, K^T K and K^T V to (L, L softmax(z)).
 
     L = c_q softmax(s_q) + c_k softmax(s_k) is c x d, and w_qk is its transpose.
+    This stays composed from tape ops, because the Gram order needs L and
+    w_qkv as two tape values and a node has one output; ``amlp_cov_forward``
+    restates it inside its one node, and tests hold the two equal.
     """
     if params.d != s_q.shape[-1]:
         raise DimensionError(f"params are for width {params.d}, inputs have {s_q.shape[-1]}")
@@ -308,15 +316,85 @@ def _cov_weight_map(s_q, s_k, z, params: AmlpCovParams):
     return lt, matmul(lt, softmax(z))
 
 
+@_quiet
 def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
     """sigma1(Q w_qk) w_qkv with covariance-derived weights; output is ([B x] n) x d.
+
+    One tape node over (q, k, v, c_q, c_k) with a hand-written backward.  The
+    forward computes what ``amlp_cov_weights`` and two matmuls compose, in
+    the same order and bit for bit: the summaries Q^T Q, K^T K and K^T V,
+    their row softmaxes, L = c_q softmax(Q^T Q) + c_k softmax(K^T K),
+    w_qkv = L softmax(K^T V), the pre-activation Q L^T, sigma1 and the
+    output.  The backward runs the composed ops' backward rules in the order
+    the tape would, summing each gradient back over the batch or head axes
+    its operand was broadcast along.  Raises ContractError when a summary,
+    L, w_qkv, the pre-activation or the output is not finite: a later
+    softmax or ReLU would zero a -inf in the first four.
 
     Every intermediate is at most max(n, m) x max(c, d) or d x d; cost and
     memory grow linearly in n + m for fixed c, d.
     """
-    w_qk, w_qkv = amlp_cov_weights(inputs, params)
-    hidden = _apply_sigma1(matmul(inputs.q, w_qk), params.sigma1)
-    return matmul(hidden, w_qkv)
+    if params.d != inputs.d:
+        raise DimensionError(f"params are for width {params.d}, inputs have {inputs.d}")
+    operands = (inputs.q, inputs.k, inputs.v, params.c_q, params.c_k)
+    qv, kv, vv, cq, ck = vals = [_val(x) for x in operands]
+    _batch_shape("amlp_cov_forward", vals)
+    qt, kt = qv.swapaxes(-1, -2), kv.swapaxes(-1, -2)
+    # the summaries Q^T Q, K^T K and K^T V, each checked and then turned into
+    # its row softmax in place: the fewer arrays live at once, the fewer
+    # fresh pages the allocator has to map
+    a_q, a_k, a_z = qt @ qv, kt @ kv, kt @ vv
+    for s in (a_q, a_k, a_z):
+        _check_finite(s)
+        _softmax_last(s, out=s)
+    m_q, m_k = cq @ a_q, ck @ a_k
+    lt = m_q + m_k
+    shape_mq, shape_mk = m_q.shape, m_k.shape
+    del m_q, m_k
+    w_qkv = lt @ a_z
+    w_qk = lt.swapaxes(-1, -2)
+    pre = qv @ w_qk
+    for a in (lt, w_qkv, pre):
+        _check_finite(a)
+    sigma1 = params.sigma1
+    hidden = pre  # sigma1 applied in place
+    if sigma1 == "softmax":
+        _softmax_last(hidden, out=hidden)
+    elif sigma1 == "relu":
+        np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w_qkv
+
+    def bw(g):
+        # the composed ops' backward rules, last op first, each gradient
+        # summed in the order the tape would sum it
+        g_hidden = _unbatch(g @ w_qkv.swapaxes(-1, -2), hidden.shape)
+        g_wqkv = _unbatch(hidden.swapaxes(-1, -2) @ g, w_qkv.shape)
+        if sigma1 == "softmax":
+            g_pre = _softmax_grad(hidden, g_hidden)
+        elif sigma1 == "relu":
+            g_pre = g_hidden * (hidden > 0.0)  # where pre > 0
+        else:
+            g_pre = g_hidden
+        g_q = _unbatch(g_pre @ lt, qv.shape)
+        g_lt = _unbatch(qt @ g_pre, w_qk.shape).swapaxes(-1, -2)
+        g_lt = g_lt + _unbatch(g_wqkv @ a_z.swapaxes(-1, -2), lt.shape)
+        g_z = _softmax_grad(a_z, _unbatch(w_qk @ g_wqkv, a_z.shape))
+        g_mk = _unbatch(g_lt, shape_mk)
+        g_ck = _unbatch(g_mk @ a_k.swapaxes(-1, -2), ck.shape)
+        g_sk = _softmax_grad(a_k, _unbatch(ck.swapaxes(-1, -2) @ g_mk, a_k.shape))
+        g_mq = _unbatch(g_lt, shape_mq)
+        g_cq = _unbatch(g_mq @ a_q.swapaxes(-1, -2), cq.shape)
+        g_sq = _softmax_grad(a_q, _unbatch(cq.swapaxes(-1, -2) @ g_mq, a_q.shape))
+        # k enters K^T V through a transpose, then K^T K as both operands
+        g_k = _unbatch(g_z @ vv.swapaxes(-1, -2), kt.shape).swapaxes(-1, -2)
+        g_v = _unbatch(kv @ g_z, vv.shape)
+        g_k = g_k + _unbatch(kv @ g_sk, kv.shape)
+        g_k = g_k + _unbatch(g_sk @ kv.swapaxes(-1, -2), kt.shape).swapaxes(-1, -2)
+        g_q = g_q + _unbatch(qv @ g_sq, qv.shape)
+        g_q = g_q + _unbatch(g_sq @ qt, qt.shape).swapaxes(-1, -2)
+        return (g_q, g_k, g_v, g_cq, g_ck)
+
+    return _dispatch(out, operands, bw)
 
 
 # ---------------------------------------------------------------------------

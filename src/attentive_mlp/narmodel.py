@@ -148,7 +148,11 @@ class NarModel:
     """Encoder-decoder with token/position embeddings and one block each side.
 
     Parameters live in a flat name -> ndarray dict so training, checkpointing
-    and gradient checking can treat them uniformly.
+    and gradient checking can treat them uniformly.  Every array in it is
+    finite: drawn so at init, checked by ``load_checkpoint`` and by the SGD
+    update in ``train_step``.  So ``forward`` and ``loss_and_grads`` adopt
+    the arrays with ``Tensor._wrap(finite=True)``, without a copy or a sum,
+    which also marks them read-only; replace an entry, do not write into it.
     """
 
     def __init__(self, config: NarConfig):
@@ -253,7 +257,7 @@ class NarModel:
 
     def forward(self, source_tokens) -> Tensor:
         """Logits for all target positions in one pass: seq_len x vocab, or B x seq_len x vocab."""
-        p = {k: Tensor(v) for k, v in self.params.items()}
+        p = {k: Tensor._wrap(v, finite=True) for k, v in self.params.items()}
         return self._forward(source_tokens, p)
 
     # -- training ---------------------------------------------------------
@@ -268,18 +272,36 @@ class NarModel:
         sources = self._check_source([source for source, _ in batch])
         targets = np.asarray([target for _, target in batch], dtype=np.int64)
         tape = Tape()
-        p = {k: tape.leaf(Tensor(v)) for k, v in self.params.items()}
+        p = {k: tape.leaf(Tensor._wrap(v, finite=True)) for k, v in self.params.items()}
         loss = cross_entropy(self._forward(sources, p), targets)
         backward(tape, loss)
         return loss.item(), {name: var.grad.data for name, var in p.items()}
 
     def train_step(self, batch) -> float:
-        """One SGD step on a batch of (source, target) pairs; returns the pre-update loss."""
+        """One SGD step on a batch of (source, target) pairs; returns the pre-update loss.
+
+        Each updated parameter is checked here, once, by one dot product.
+        Its squared norm is finite exactly when every entry is finite and
+        the norm is below about 1.3e154.  A larger norm counts as divergence
+        too, since the covariance summaries square the projected
+        activations; at a huge learning rate a parameter gets there in one
+        step with every entry still finite.  Either case raises
+        ContractError naming the first such parameter, and the parameters
+        keep their values from before the step.
+        """
         loss, grads = self.loss_and_grads(batch)
         lr = self.config.learning_rate
         if lr != 0.0:
-            for name, grad in grads.items():
-                self.params[name] = self.params[name] - lr * grad
+            updated = {}
+            with np.errstate(over="ignore", invalid="ignore"):
+                for name, grad in grads.items():
+                    new = self.params[name] - lr * grad
+                    if not math.isfinite(float(np.vdot(new, new))):
+                        raise ContractError(
+                            f"parameter {name!r} diverged: its squared norm is not finite after the update"
+                        )
+                    updated[name] = new
+            self.params.update(updated)
         return loss
 
     # -- inference --------------------------------------------------------
@@ -324,7 +346,10 @@ def train(
     losses: list[float] = []
     batches = task.stream(batch_size, split="train")
     for step in range(1, steps + 1):
-        losses.append(model.train_step(next(batches)))
+        try:
+            losses.append(model.train_step(next(batches)))
+        except ContractError as exc:
+            raise ContractError(f"step {step}: {exc}") from None
         if on_step is not None and on_step(step, losses[-1]):
             break
     return losses

@@ -33,7 +33,13 @@ is freed by reference counting as soon as the caller drops its Vars.
 Every op output is checked to be finite by one sum over its elements, except
 where finiteness follows from the operands': the layout ops only rearrange
 checked elements, ``relu`` only zeroes some, and ``softmax`` is max-shifted,
-so every exp is at most 1 and each row sums to at least 1.  Softmax
+so every exp is at most 1 and each row sums to at least 1.  An op built
+outside this module from several of these steps, with one node and its own
+backward, checks with ``_check_finite`` each intermediate a later softmax or
+ReLU could hide (a -inf becomes a probability or activation of 0), as the
+composed ops would have.  ``Tensor._wrap(arr, finite=True)`` adopts an array
+already known to be finite, such as a model parameter checked when it was
+stored, without a copy or a sum.  Softmax
 probabilities below e^-700 (about 1e-304) are exactly 0, never subnormal:
 numpy's vector ``exp`` leaves its fast loop for inputs from about -708 down,
 so max-shifted logits below -700 are clamped before the exp and zeroed after
@@ -159,8 +165,12 @@ def _check_array(arr: np.ndarray, finite: bool = False) -> None:
     # Ops whose output is finite whenever their operands are (the layout ops,
     # relu, softmax) pass finite=True: the sum would prove nothing, and over a
     # strided view it costs as much as the copy the view avoids.
-    if finite:
-        return
+    if not finite:
+        _check_finite(arr)
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise ContractError unless every element is finite; callers hold ``_quiet``."""
     # a single reduction: any NaN/Inf element makes the sum non-finite
     if not math.isfinite(float(arr.sum())):
         if not np.isfinite(arr).all():
@@ -398,13 +408,19 @@ def _exp_flushed(e: np.ndarray) -> float:
     return low
 
 
-def _softmax_last(xv: np.ndarray) -> np.ndarray:
+def _softmax_last(xv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # max-subtraction keeps exp in range for any finite input; every step
-    # after it works in place, so the result is the only array allocated
-    e = xv - xv.max(axis=-1, keepdims=True)
+    # after it works in place, so the result is the only array allocated,
+    # and none is when ``out`` is given (it may be xv itself)
+    e = np.subtract(xv, xv.max(axis=-1, keepdims=True), out=out)
     _exp_flushed(e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient g of a last-axis softmax output y, carried back to its logits."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 @_quiet
@@ -414,12 +430,7 @@ def softmax(x):
     if xv.ndim == 0:
         raise DimensionError("softmax needs at least rank 1")
     y = _softmax_last(xv)
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _dispatch(y, (x,), bw, finite=True)
+    return _dispatch(y, (x,), lambda g: (_softmax_grad(y, g),), finite=True)
 
 
 def concat(*parts, axis: int):

@@ -35,6 +35,7 @@ from attentive_mlp.tensor import (
     Tensor,
     backward,
     finite_difference_check,
+    matmul,
     mul,
     sum_all,
 )
@@ -360,6 +361,75 @@ class TestAmlpCov:
         a = amlp_cov_forward(rand_inputs(rng1, 4, 5, 6), cov_params(rng1, 2, 6))
         b = amlp_cov_forward(rand_inputs(rng2, 4, 5, 6), cov_params(rng2, 2, 6))
         assert np.array_equal(a.data, b.data)
+
+    # (q, k, v, c) shapes: rank 2; a batch axis; batch and head axes; a
+    # rank-2 target shared by a batch of sources; k and v with different
+    # batch extents (v shared by every k)
+    OP_SHAPES = {
+        "rank2": ((4, 6), (5, 6), (5, 6), (2, 6)),
+        "batch": ((3, 4, 6), (3, 5, 6), (3, 5, 6), (2, 6)),
+        "batch-heads": ((3, 2, 4, 6), (3, 2, 5, 6), (3, 2, 5, 6), (2, 2, 6)),
+        "shared-target": ((4, 6), (3, 5, 6), (3, 5, 6), (2, 6)),
+        "kv-extents": ((3, 4, 6), (3, 5, 6), (1, 5, 6), (2, 6)),
+    }
+
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    @pytest.mark.parametrize("layout", sorted(OP_SHAPES))
+    def test_one_node_matches_composed_weights(self, layout, sigma1):
+        # the fused op against sigma1(q @ w_qk) @ w_qkv composed from
+        # amlp_cov_weights: the same forward bit for bit, and the same gradients
+        rng = np.random.default_rng(19)
+        q_s, k_s, v_s, c_s = self.OP_SHAPES[layout]
+        arrays = [rng.standard_normal(s) * 0.7 for s in (q_s, k_s, v_s, c_s, c_s)]
+        probe = None
+
+        def run(fn):
+            nonlocal probe
+            tape = Tape()
+            q, k, v, cq, ck = leaves = [tape.leaf(Tensor(a)) for a in arrays]
+            out = fn(AttentionInputs(q, k, v), AmlpCovParams(cq, ck, sigma1=sigma1))
+            if probe is None:
+                probe = Tensor(rng.standard_normal(out.shape))
+            before = len(tape)
+            backward(tape, sum_all(mul(out, probe)))
+            return out.data, [leaf.grad.data for leaf in leaves], before - len(leaves)
+
+        def composed(inputs, params):
+            w_qk, w_qkv = amlp_cov_weights(inputs, params)
+            return matmul(attention._apply_sigma1(matmul(inputs.q, w_qk), sigma1), w_qkv)
+
+        out, grads, nodes = run(amlp_cov_forward)
+        ref_out, ref_grads, _ = run(composed)
+        assert nodes == 1
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("masked_by", ["softmax", "relu"])
+    def test_overflow_hidden_downstream_raises_without_warning(self, masked_by):
+        # only an intermediate overflows, to -inf, and a later op would zero
+        # it, so the output alone is finite: the op must check the intermediate
+        q = np.array([[0.1, 0.2]])
+        if masked_by == "softmax":
+            # K^T V[0, 1] = 1e150 * -1e200 is -inf beside a finite row maximum,
+            # whose row softmax maps it to 0.  (K^T K cannot do this: by
+            # Cauchy-Schwarz its diagonal overflows first, and its row
+            # softmax then turns NaN.)
+            k = np.array([[1e150, 1e-160]])
+            v = np.array([[1.0, -1e200]])
+            c_q = c_k = np.array([[0.5, 0.5]])
+        else:
+            # Q L^T is -1e310 everywhere, and ReLU maps it to 0
+            q = np.array([[1e10, 1e10]])
+            k = v = np.array([[0.1, 0.2]])
+            c_q, c_k = np.array([[-1e300, -1e300]]), np.array([[0.0, 0.0]])
+        inputs = AttentionInputs(Tensor(q), Tensor(k), Tensor(v))
+        params = AmlpCovParams(Tensor(c_q), Tensor(c_k), sigma1="relu")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="NaN or Inf"):
+                amlp_cov_forward(inputs, params)
 
 
 class TestEma:

@@ -389,11 +389,18 @@ class TestSettings:
 
 class TestRuntimeFailures:
     def test_diverging_training_is_one_line_error(self, capsys):
-        code, _, stderr = run_cli(
-            ["train", "--task", "copy", "--lr", "1e6", "--steps", "50"] + TINY_TRAIN, capsys
-        )
-        assert code == 1
-        assert _error_lines(stderr) == ["error: tensor contains NaN or Inf"]
+        cases = [
+            (["--task", "copy", "--lr", "1e6", "--steps", "50"] + TINY_TRAIN, "step 26: parameter 'dec_ln3.b'"),
+            # the default model's first update stays finite entry by entry
+            (["--lr", "1e300", "--steps", "5"], "step 1: parameter 'embed'"),
+        ]
+        for argv, named in cases:
+            code, _, stderr = run_cli(["train"] + argv, capsys)
+            assert code == 1
+            assert _error_lines(stderr) == [
+                f"error: {named} diverged: its squared norm is not finite after the update"
+            ]
+            assert "Warning" not in stderr
 
     def test_sweep_memory_refusal_is_one_line_error(self, monkeypatch, capsys):
         # a fixed 1 MiB budget keeps the refusal independent of the host

@@ -159,6 +159,34 @@ class TestTrainStep:
         assert losses == expected
         assert seen == list(zip(range(1, 6), expected))
 
+    def test_default_cov_step_records_97_nodes(self, monkeypatch):
+        # 43 parameter leaves plus 54 ops, each covariance mechanism call one
+        # of them: a change that splits the mechanism into ops again moves this
+        tapes = []
+
+        def tracked_tape():
+            tapes.append(Tape())
+            return tapes[-1]
+
+        monkeypatch.setattr(narmodel, "Tape", tracked_tape)
+        model = NarModel(NarConfig())
+        model.loss_and_grads(SyntheticTask("reverse", vocab=16, length=12).sample(8, "train"))
+        assert len(model.params) == 43
+        assert len(tapes) == 1 and len(tapes[0]) == 97
+
+    def test_diverging_update_names_parameter_and_step(self):
+        # at lr 1e300 every updated entry is still finite (the largest
+        # gradient entry is about 0.1), but its square is not
+        model = NarModel(NarConfig(learning_rate=1e300))
+        before = {k: v.copy() for k, v in model.params.items()}
+        task = SyntheticTask("reverse", vocab=16, length=12)
+        with pytest.raises(ContractError, match="^parameter 'embed' diverged"):
+            model.train_step(task.sample(8, "train"))
+        for k in before:
+            assert np.array_equal(before[k], model.params[k])
+        with pytest.raises(ContractError, match="^step 1: parameter 'embed' diverged"):
+            train(model, task, steps=5)
+
     @pytest.mark.parametrize("variant", ["cov", "pquery", "softmax"])
     def test_gradients_match_finite_differences(self, variant):
         cfg = NarConfig(
