@@ -121,31 +121,22 @@ class AttentionInputs:
         return self.q.shape[-1]
 
 
-def _check_sigma1(name: str) -> str:
+def _check_sigma1(name: str) -> None:
     if name not in SIGMA1_CHOICES:
         raise ConfigError(f"sigma1 must be one of {SIGMA1_CHOICES}, got {name!r}")
-    return name
 
 
 @dataclass(frozen=True)
-class AmlpCovParams:
-    """Down-projection pair for the covariance variant; both are c x d.
-
-    Stacked (h, c, d) projections hold h heads' pairs, for inputs with a
-    head axis of extent h.
-    """
+class _ProjectionPair:
+    """The c x d projection pair c_q, c_k of both adaptive variants; (h, c, d) holds h heads."""
 
     c_q: object
     c_k: object
-    sigma1: str = "softmax"
 
     def __post_init__(self):
         cq, ck = self.c_q.shape, self.c_k.shape
         if len(cq) not in (2, 3) or cq != ck:
             raise DimensionError(f"c_q and c_k must both be ([h,]) c x d, got {cq} and {ck}")
-        if not (1 <= cq[-2] <= cq[-1]):
-            raise ConfigError(f"need 1 <= c <= d, got c={cq[-2]}, d={cq[-1]}")
-        _check_sigma1(self.sigma1)
 
     @property
     def c(self) -> int:
@@ -155,47 +146,79 @@ class AmlpCovParams:
     def d(self) -> int:
         return self.c_q.shape[-1]
 
+    def _check_width(self, d: int) -> None:
+        if d != self.d:
+            raise DimensionError(f"params are for width {self.d}, inputs have width {d}")
+
 
 @dataclass(frozen=True)
-class AmlpPQueryParams:
+class AmlpCovParams(_ProjectionPair):
+    """Down-projection pair for the covariance variant; both are ([h,]) c x d."""
+
+    sigma1: str = "softmax"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (1 <= self.c <= self.d):
+            raise ConfigError(f"need 1 <= c <= d, got c={self.c}, d={self.d}")
+        _check_sigma1(self.sigma1)
+
+
+@dataclass(frozen=True)
+class AmlpPQueryParams(_ProjectionPair):
     """Pseudo-query parameters: projections c x d, mixing weight 2d x d, ema beta.
 
-    Stacked (h, c, d) projections and an (h, 2d, d) mixing weight hold h heads'
-    parameters, for inputs with a head axis of extent h.
+    With stacked (h, c, d) projections the mixing weight is (h, 2d, d).
     """
 
-    c_q: object
-    c_k: object
     w: object
     beta: float = 0.5
     sigma1: str = "softmax"
 
     def __post_init__(self):
-        cq, ck, w = self.c_q.shape, self.c_k.shape, self.w.shape
-        if len(cq) not in (2, 3) or cq != ck:
-            raise DimensionError(f"c_q and c_k must both be ([h,]) c x d, got {cq} and {ck}")
-        d = cq[-1]
-        if w != (*cq[:-2], 2 * d, d):
-            raise DimensionError(f"w must be {(*cq[:-2], 2 * d, d)}, got {w}")
+        super().__post_init__()
+        lead, d = self.c_q.shape[:-2], self.d
+        if self.w.shape != (*lead, 2 * d, d):
+            raise DimensionError(f"w must be {(*lead, 2 * d, d)}, got {self.w.shape}")
         if not (0.0 <= self.beta <= 1.0):
-            raise ContractError(f"beta must be in [0, 1], got {self.beta}")
+            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
         _check_sigma1(self.sigma1)
 
-    @property
-    def c(self) -> int:
-        return self.c_q.shape[-2]
 
-    @property
-    def d(self) -> int:
-        return self.c_q.shape[-1]
+def _sigma1(kind: str, a: np.ndarray, out: np.ndarray | None = None, heads: int = 1) -> np.ndarray:
+    """sigma1 of the pre-activations ``a``: the one statement of the rule every sigma1 site uses.
 
-
-def _apply_sigma1(h, kind: str):
+    softmax normalizes each of ``heads`` equal column blocks through a reshape
+    view, relu zeroes negative entries, identity returns ``a``.  ``out`` is
+    None (a new array) or ``a`` (in place); a finite ``a`` gives a finite result.
+    """
     if kind == "softmax":
-        return softmax(h)
+        blocks = (*a.shape[:-1], heads, a.shape[-1] // heads)
+        o = None if out is None else out.reshape(blocks)
+        return _softmax_last(a.reshape(blocks), out=o).reshape(a.shape)
     if kind == "relu":
-        return relu(h)
-    return h
+        return np.maximum(a, 0.0, out=out)
+    return a
+
+
+def _sigma1_grad(kind: str, y: np.ndarray, g: np.ndarray, heads: int = 1) -> np.ndarray:
+    """The gradient g of ``y = _sigma1(kind, a, heads=heads)``, carried back to a, from y alone."""
+    if kind == "softmax":
+        blocks = (*y.shape[:-1], heads, y.shape[-1] // heads)
+        return _softmax_grad(y.reshape(blocks), g.reshape(blocks)).reshape(y.shape)
+    if kind == "relu":
+        return g * (y > 0.0)  # where a > 0
+    return g
+
+
+@_quiet
+def _apply_sigma1(h, kind: str, heads: int = 1):
+    """``_sigma1`` as one tape node, its output allocated once; identity returns ``h`` itself."""
+    hv = _val(h)
+    y = _sigma1(kind, hv, heads=heads)
+    if y is hv:  # identity
+        return h
+    return _dispatch(y, (h,), lambda g: (_sigma1_grad(kind, y, g, heads),), finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +333,7 @@ def _cov_weight_map(s_q, s_k, z, params: AmlpCovParams):
     w_qkv as two tape values and a node has one output; ``amlp_cov_forward``
     restates it inside its one node, and tests hold the two equal.
     """
-    if params.d != s_q.shape[-1]:
-        raise DimensionError(f"params are for width {params.d}, inputs have {s_q.shape[-1]}")
+    params._check_width(s_q.shape[-1])
     lt = add(matmul(params.c_q, softmax(s_q)), matmul(params.c_k, softmax(s_k)))
     return lt, matmul(lt, softmax(z))
 
@@ -325,7 +347,9 @@ def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
     the same order and bit for bit: the summaries Q^T Q, K^T K and K^T V,
     their row softmaxes, L = c_q softmax(Q^T Q) + c_k softmax(K^T K),
     w_qkv = L softmax(K^T V), the pre-activation Q L^T, sigma1 and the
-    output.  The backward runs the composed ops' backward rules in the order
+    output.  sigma1 and its backward are ``_sigma1`` (in place on the
+    pre-activation) and ``_sigma1_grad``, the one rule every sigma1 site
+    shares.  The backward runs the composed ops' backward rules in the order
     the tape would, summing each gradient back over the batch or head axes
     its operand was broadcast along.  Raises ContractError when a summary,
     L, w_qkv, the pre-activation or the output is not finite: a later
@@ -334,8 +358,7 @@ def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
     Every intermediate is at most max(n, m) x max(c, d) or d x d; cost and
     memory grow linearly in n + m for fixed c, d.
     """
-    if params.d != inputs.d:
-        raise DimensionError(f"params are for width {params.d}, inputs have {inputs.d}")
+    params._check_width(inputs.d)
     operands = (inputs.q, inputs.k, inputs.v, params.c_q, params.c_k)
     qv, kv, vv, cq, ck = vals = [_val(x) for x in operands]
     _batch_shape("amlp_cov_forward", vals)
@@ -356,12 +379,8 @@ def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
     pre = qv @ w_qk
     for a in (lt, w_qkv, pre):
         _check_finite(a)
-    sigma1 = params.sigma1
-    hidden = pre  # sigma1 applied in place
-    if sigma1 == "softmax":
-        _softmax_last(hidden, out=hidden)
-    elif sigma1 == "relu":
-        np.maximum(hidden, 0.0, out=hidden)
+    sigma1 = params.sigma1  # the backward holds no Var, so no tape cycle
+    hidden = _sigma1(sigma1, pre, out=pre)
     out = hidden @ w_qkv
 
     def bw(g):
@@ -369,12 +388,7 @@ def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
         # summed in the order the tape would sum it
         g_hidden = _unbatch(g @ w_qkv.swapaxes(-1, -2), hidden.shape)
         g_wqkv = _unbatch(hidden.swapaxes(-1, -2) @ g, w_qkv.shape)
-        if sigma1 == "softmax":
-            g_pre = _softmax_grad(hidden, g_hidden)
-        elif sigma1 == "relu":
-            g_pre = g_hidden * (hidden > 0.0)  # where pre > 0
-        else:
-            g_pre = g_hidden
+        g_pre = _sigma1_grad(sigma1, hidden, g_hidden)
         g_q = _unbatch(g_pre @ lt, qv.shape)
         g_lt = _unbatch(qt @ g_pre, w_qk.shape).swapaxes(-1, -2)
         g_lt = g_lt + _unbatch(g_wqkv @ a_z.swapaxes(-1, -2), lt.shape)
@@ -410,8 +424,7 @@ def amlp_pquery_weights(inputs: AttentionInputs, params: AmlpPQueryParams):
     through the 2d x d mixing weight.  Softmaxes here normalize over token
     positions.  Returns (w_qk, w_qkv) with shapes d x c and c x d.
     """
-    if params.d != inputs.d:
-        raise DimensionError(f"params are for width {params.d}, inputs have {inputs.d}")
+    params._check_width(inputs.d)
     qhat = ema(inputs.q, params.beta)
     summary_q = matmul(softmax(matmul(params.c_q, transpose(qhat))), qhat)
     summary_k = matmul(softmax(matmul(params.c_k, transpose(inputs.k))), inputs.k)
@@ -494,8 +507,7 @@ def causal_amlp_cov_step(
     for name, a in (("q_t", qv), ("k_t", kv), ("v_t", vv)):
         if a.shape != (1, d):
             raise DimensionError(f"{name} must be 1 x {d}, got {a.shape}")
-    if params.d != d:
-        raise DimensionError(f"params are for width {params.d}, state has {d}")
+    params._check_width(d)
 
     # a product with one term is exact, so this equals the running sums of
     # q^T q, k^T k and k^T v (transposed) bit for bit
@@ -511,10 +523,7 @@ def causal_amlp_cov_step(
     r_q, r_k, r_z = e.sum(axis=-2)
     lt = (params.c_q.data / r_q) @ e[0].T + (params.c_k.data / r_k) @ e[1].T
     hidden = qv @ lt.T
-    if params.sigma1 == "softmax":
-        hidden = _softmax_last(hidden)
-    elif params.sigma1 == "relu":
-        hidden = np.maximum(hidden, 0.0)
+    hidden = _sigma1(params.sigma1, hidden, out=hidden)
     out = ((hidden @ lt) / r_z) @ e[2].T
     return Tensor._wrap(out), new_state
 
@@ -600,14 +609,16 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
       merged products, and 2d^3 + 3d^2 d_h + 2cd^2 + 3cd d_h of per-head
       weight work that does not grow with n or m.
 
-    The order is chosen from the input shapes alone, as
-    ``numpy.linalg.multi_dot`` chooses its parenthesization, with no option:
-    Gram when both inputs have more than 2d rows, direct otherwise.  Past
-    that bound the Gram order does fewer MACs for self-attention at every
-    c <= d_h, and for cross-attention whenever hc <= d/2.  Short inputs keep
-    the direct order, where the Gram order's fixed weight work outweighs what
-    it saves: at n = m = 12, d = 32, h = 2, c = 8 the direct order does 86k
-    MACs and the Gram order would do 168k.  At n = m = 8192, d = 256, h = 4, c = 16
+    The order is chosen from the input shapes alone, with no option: Gram
+    when both inputs have more than 2d rows, direct otherwise.  That bound is
+    hand-set, not derived from these counts, and measured forwards put the
+    crossover nearer d rows (at d = 256, h = 4, c = 16 the Gram order is
+    already faster at 512 rows).  Past the bound the Gram order does fewer
+    MACs for self-attention at every c <= d_h, and for cross-attention
+    whenever hc <= d/2.  Short inputs keep the direct order, where the Gram
+    order's fixed weight work outweighs what it saves: at n = m = 12, d = 32,
+    h = 2, c = 8 the direct order does 86k MACs and the Gram order would do
+    168k.  At n = m = 8192, d = 256, h = 4, c = 16
     (self-attention) the direct order does 2.62 GMAC and the Gram order
     0.85 GMAC.
     """
@@ -657,9 +668,6 @@ def _multi_head_cov_gram(x_target, x_source, params: MultiHeadParams):
     # 256 x 64 takes 4.5 ms).  Column block j of the (..., n, h c) result is
     # head j's pre-activation.
     pre = matmul(x_target, merge_heads(matmul(w_q, transpose(lt))))
-    if hp.sigma1 == "softmax":  # normalizes each head's block on its own
-        hidden = merge_heads(softmax(split_heads(pre, h)))
-    else:  # elementwise: once over every head
-        hidden = _apply_sigma1(pre, hp.sigma1)
+    hidden = _apply_sigma1(pre, hp.sigma1, heads=h)
     # row block j of the (..., h c, d) merge is w_qkv_j W_o[head j rows]
     return matmul(hidden, transpose(merge_heads(matmul(w_o_t, transpose(w_qkv)))))

@@ -92,12 +92,12 @@ class BenchConfig:
     def __post_init__(self):
         if self.runs < 4:
             raise ConfigError(f"quartile filtering needs runs >= 4, got {self.runs}")
-        if not self.lengths or any(
-            b <= a for a, b in zip(self.lengths, self.lengths[1:])
-        ) or min(self.lengths) < 1:
-            raise ConfigError(
-                f"lengths must be positive and strictly increasing, got {self.lengths}"
-            )
+        if not self.lengths:
+            raise ConfigError("lengths must not be empty")
+        if min(self.lengths) < 1:
+            raise ConfigError(f"lengths must be >= 1, got {self.lengths}")
+        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
+            raise ConfigError(f"lengths must be strictly increasing, got {self.lengths}")
         if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigError(f"heads={self.heads} must divide d_model={self.d_model}")
         if not (1 <= self.c <= self.d_model // self.heads):
@@ -107,8 +107,10 @@ class BenchConfig:
         for arch in self.architectures:
             if arch not in ARCHITECTURES:
                 raise ConfigError(f"unknown architecture {arch!r}")
-        if self.batch < 1 or self.warmup < 0:
-            raise ConfigError("batch must be >= 1 and warmup >= 0")
+        if self.batch < 1:
+            raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        if self.warmup < 0:
+            raise ConfigError(f"warmup must be >= 0, got {self.warmup}")
         _check_sigma1(self.sigma1)
         _check_seed(self.seed)
 

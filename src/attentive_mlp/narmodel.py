@@ -12,6 +12,7 @@ any logging, probing or early stopping a caller needs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -53,6 +54,7 @@ __all__ = [
 
 VARIANTS = ("cov", "pquery", "softmax")
 TASK_KINDS = ("copy", "reverse")
+SPLITS = ("train", "eval")  # the seeded streams of a SyntheticTask
 # the toy task and evaluation size the CLI and the inner-dimension sweep default to
 DEFAULT_TASK = "reverse"
 DEFAULT_EVAL_SAMPLES = 256
@@ -123,25 +125,30 @@ class SyntheticTask:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
+        for name in ("vocab", "length"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_seed(self.seed)
 
-    def _target(self, source: np.ndarray) -> np.ndarray:
-        return source.copy() if self.kind == "copy" else source[::-1].copy()
+    def _rng(self, split: str, *stream) -> np.random.Generator:
+        if split not in SPLITS:
+            raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
+        return np.random.default_rng([self.seed, SPLITS.index(split), *stream])
+
+    def _pairs(self, rng: np.random.Generator, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        sources = rng.integers(0, self.vocab, size=(count, self.length))
+        return [(s.copy(), s.copy() if self.kind == "copy" else s[::-1].copy()) for s in sources]
 
     def sample(self, count: int, split: str = "eval") -> list[tuple[np.ndarray, np.ndarray]]:
         """A fixed, reproducible set of (source, target) pairs."""
         if count < 1:
             raise ContractError(f"count must be >= 1, got {count}")
-        rng = np.random.default_rng([self.seed, {"train": 0, "eval": 1}[split]])
-        sources = rng.integers(0, self.vocab, size=(count, self.length))
-        return [(s.copy(), self._target(s)) for s in sources]
+        return self._pairs(self._rng(split), count)
 
     def stream(self, batch_size: int, split: str = "train"):
-        """Infinite generator of fresh batches from a persistent rng."""
-        rng = np.random.default_rng([self.seed, {"train": 0, "eval": 1}[split], 1])
-        while True:
-            sources = rng.integers(0, self.vocab, size=(batch_size, self.length))
-            yield [(s.copy(), self._target(s)) for s in sources]
+        """Endless fresh batches from a persistent rng; a bad split raises at the call."""
+        rng = self._rng(split, 1)
+        return (self._pairs(rng, batch_size) for _ in itertools.count())
 
 
 class NarModel:
@@ -207,31 +214,14 @@ class NarModel:
     def _attention(self, block: str, x_target, x_source, p):
         cfg = self.config
         head_params = []
-        if cfg.variant == "cov":
-            head_params = [
-                AmlpCovParams(p[f"{block}.h{j}.cq"], p[f"{block}.h{j}.ck"], sigma1=cfg.sigma1)
-                for j in range(cfg.heads)
-            ]
-        elif cfg.variant == "pquery":
-            head_params = [
-                AmlpPQueryParams(
-                    p[f"{block}.h{j}.cq"],
-                    p[f"{block}.h{j}.ck"],
-                    p[f"{block}.h{j}.w"],
-                    beta=cfg.beta,
-                    sigma1=cfg.sigma1,
-                )
-                for j in range(cfg.heads)
-            ]
-        mh = MultiHeadParams(
-            mechanism=cfg.variant,
-            heads=cfg.heads,
-            w_q=p[f"{block}.wq"],
-            w_k=p[f"{block}.wk"],
-            w_v=p[f"{block}.wv"],
-            w_o=p[f"{block}.wo"],
-            head_params=head_params,
-        )
+        for j in range(cfg.heads if cfg.variant != "softmax" else 0):
+            cq, ck = p[f"{block}.h{j}.cq"], p[f"{block}.h{j}.ck"]
+            if cfg.variant == "cov":
+                head_params.append(AmlpCovParams(cq, ck, cfg.sigma1))
+            else:
+                head_params.append(AmlpPQueryParams(cq, ck, p[f"{block}.h{j}.w"], cfg.beta, cfg.sigma1))
+        projections = (p[f"{block}.{w}"] for w in ("wq", "wk", "wv", "wo"))
+        mh = MultiHeadParams(cfg.variant, cfg.heads, *projections, head_params=head_params)
         return multi_head_forward(x_target, x_source, mh)
 
     def _forward(self, source_tokens, p):

@@ -36,7 +36,10 @@ from attentive_mlp.tensor import (
     backward,
     finite_difference_check,
     matmul,
+    merge_heads,
     mul,
+    softmax,
+    split_heads,
     sum_all,
 )
 
@@ -508,6 +511,11 @@ class TestAmlpPQuery:
         )
         assert np.abs(out.data[::-1] - flipped.data).max() > 1e-6
 
+    def test_beta_out_of_range_is_config_error(self):
+        rng = np.random.default_rng(28)
+        with pytest.raises(ConfigError, match="beta must be in"):
+            pquery_params(rng, 2, 4, beta=1.5)
+
     def test_gradients_through_all_parameters(self):
         rng = np.random.default_rng(27)
         inputs = rand_inputs(rng, 5, 4, 4)
@@ -674,6 +682,23 @@ class TestCausalCov:
                 hidden = np.maximum(hidden, 0.0)
             assert np.array_equal(out_t.data, ((hidden @ lt) / r_z) @ e[2].T), t
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda inp, rng: amlp_cov_forward(inp, cov_params(rng, 2, 4)),
+            lambda inp, rng: amlp_cov_weights(inp, cov_params(rng, 2, 4)),
+            lambda inp, rng: amlp_pquery_forward(inp, pquery_params(rng, 2, 4)),
+            lambda inp, rng: causal_amlp_cov_step(
+                causal_amlp_cov_init(5), inp.q, inp.k, inp.v, cov_params(rng, 2, 4)
+            ),
+        ],
+        ids=["cov-forward", "cov-weights", "pquery", "causal"],
+    )
+    def test_every_mechanism_states_the_width_check_alike(self, call):
+        rng = np.random.default_rng(32)
+        with pytest.raises(DimensionError, match=r"^params are for width 4, inputs have width 5$"):
+            call(rand_inputs(rng, 1, 1, 5), rng)
+
     def test_width_mismatch(self):
         params = cov_params(np.random.default_rng(31), 2, 4)
         with pytest.raises(DimensionError):
@@ -816,6 +841,43 @@ class TestMultiHead:
         scale = np.abs(per_head).max()
         np.testing.assert_allclose(out, per_head, rtol=0, atol=1e-12 * scale)
         assert np.abs(out - whole_row).max() > 1e-3 * scale  # the check can tell them apart
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "batched"])
+    def test_sigma1_softmax_over_heads_is_split_softmax_merge(self, lead):
+        # one node with a reshape view in place of split_heads, softmax and
+        # merge_heads: the same value and gradient, bit for bit
+        rng = np.random.default_rng(41)
+        h, c = 4, 3
+        pre_val, probe = (rng.standard_normal((*lead, 7, h * c)) * 3.0 for _ in range(2))
+        results = []
+        for fused in (True, False):
+            tape = Tape()
+            pre = tape.leaf(pre_val)
+            if fused:
+                out = attention._apply_sigma1(pre, "softmax", heads=h)
+            else:
+                out = merge_heads(softmax(split_heads(pre, h)))
+            backward(tape, sum_all(mul(out, Tensor(probe))))
+            results.append((out.data, pre.grad.data, len(tape)))
+        (out_a, grad_a, nodes_a), (out_b, grad_b, nodes_b) = results
+        assert np.array_equal(out_a, out_b) and np.array_equal(grad_a, grad_b)
+        assert nodes_a == nodes_b - 2
+
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    def test_gram_layer_node_count(self, sigma1):
+        # 9 leaves (x, W_q, W_k, W_v, W_o and two heads' c_q, c_k) and 34
+        # ops, one of them sigma1 (none under identity): a softmax layer
+        # recorded 45 when split_heads, softmax and merge_heads were three nodes
+        rng = np.random.default_rng(42)
+        d_model, h, rows = 4, 2, 10
+        tape = Tape()
+        x = tape.leaf(rng.standard_normal((rows, d_model)))
+        ws = [tape.leaf(rng.standard_normal((d_model, d_model))) for _ in range(4)]
+        heads = [
+            AmlpCovParams(tape.leaf(np.eye(2)), tape.leaf(np.eye(2)), sigma1) for _ in range(h)
+        ]
+        multi_head_forward(x, x, MultiHeadParams("cov", h, *ws, head_params=heads))
+        assert len(tape) == (42 if sigma1 == "identity" else 43)
 
     @pytest.mark.parametrize(
         "mechanism, make_heads",
@@ -1000,11 +1062,18 @@ class TestModuleGradients:
         assert all(r.passed for r in reports)
 
     @pytest.mark.parametrize(
-        "mechanism, rows",
-        [("softmax", 3), ("cov", 3), ("pquery", 3), ("cov", 10)],
-        ids=["softmax", "cov", "pquery", "cov-gram"],
+        "mechanism, rows, sigma1",
+        [
+            ("softmax", 3, "softmax"),
+            ("cov", 3, "softmax"),
+            ("pquery", 3, "softmax"),
+            ("cov", 10, "softmax"),
+            ("cov", 10, "relu"),
+            ("cov", 10, "identity"),
+        ],
+        ids=["softmax", "cov", "pquery", "cov-gram", "cov-gram-relu", "cov-gram-identity"],
     )
-    def test_multi_head(self, mechanism, rows):
+    def test_multi_head(self, mechanism, rows, sigma1):
         # 10 rows are over 2 x d_model = 8, where cov takes its Gram order
         rng = np.random.default_rng(40)
         d_model, h, dh = 4, 2, 2
@@ -1021,7 +1090,7 @@ class TestModuleGradients:
         head_leaves = [t for hp in heads if mechanism == "cov" for t in (hp.c_q, hp.c_k)]
 
         def f(wq, wk, wv, wo, *cqk):
-            hps = [AmlpCovParams(cq, ck) for cq, ck in zip(cqk[::2], cqk[1::2])] or heads
+            hps = [AmlpCovParams(cq, ck, sigma1) for cq, ck in zip(cqk[::2], cqk[1::2])] or heads
             params = MultiHeadParams(mechanism, h, wq, wk, wv, wo, head_params=hps)
             return sum_all(mul(multi_head_forward(x_t, x_s, params), probe))
 

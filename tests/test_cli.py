@@ -345,10 +345,13 @@ class TestSettings:
             ("eval", {"seed": "-1"}),
             ("eval", {"seed": "-2"}),
             ("verify", {"seed": "-1"}),
+            ("sweep", {"n": "0"}),
+            ("bench", {"warmup": "-1"}),
+            ("bench", {"batch": "0"}),
         ],
         ids=["bench-sigma1", "bench-arch-empty", "sweep-c-empty", "train-sigma1", "beta", "len",
              "vocab", "lr", "train-steps", "train-seed", "bench-seed", "sweep-seed", "eval-seed",
-             "eval-seed-2", "verify-seed"],
+             "eval-seed-2", "verify-seed", "sweep-n", "bench-warmup", "bench-batch"],
     )
     def test_bad_setting_is_one_line_usage_error(self, command, bad, source, tmp_path, capsys):
         settings = {**self.BASE[command], **bad}
@@ -385,6 +388,22 @@ class TestSettings:
         assert exc.value.code == 2
         (line,) = _error_lines(capsys.readouterr().err)
         assert flag in line and field not in line, line
+
+    @pytest.mark.parametrize(
+        "command, flag, value, rule",
+        [
+            ("sweep", "--n", "0", "--n must be >= 1, got (0,)"),
+            ("bench", "--lengths", "16,8", "lengths must be strictly increasing"),
+            ("bench", "--batch", "0", "batch must be >= 1, got 0"),
+            ("bench", "--warmup", "-1", "warmup must be >= 0, got -1"),
+        ],
+    )
+    def test_setting_error_states_the_broken_rule_alone(self, command, flag, value, rule, capsys):
+        settings = {**self.BASE[command], flag[2:]: value}
+        with pytest.raises(SystemExit):
+            main([command] + [a for k, v in settings.items() for a in ("--" + k.replace("_", "-"), v)])
+        (line,) = _error_lines(capsys.readouterr().err)
+        assert rule in line and " and " not in line, line
 
 
 class TestRuntimeFailures:

@@ -325,6 +325,18 @@ class TestSyntheticTask:
         with pytest.raises(ConfigError):
             SyntheticTask("sort", vocab=5, length=4)
 
+    @pytest.mark.parametrize("field", ["vocab", "length"])
+    def test_nonpositive_size_rejected_at_construction(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            SyntheticTask("copy", **{"vocab": 5, "length": 4, field: 0})
+
+    def test_unknown_split_rejected(self):
+        task = SyntheticTask("copy", vocab=5, length=4)
+        with pytest.raises(ConfigError, match="split"):
+            task.sample(2, split="test")
+        with pytest.raises(ConfigError, match="split"):
+            task.stream(2, split="dev")
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
