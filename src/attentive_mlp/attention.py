@@ -212,13 +212,13 @@ def _sigma1_grad(kind: str, y: np.ndarray, g: np.ndarray, heads: int = 1) -> np.
 
 
 @_quiet
-def _apply_sigma1(h, kind: str, heads: int = 1):
+def _apply_sigma1(h, kind: str):
     """``_sigma1`` as one tape node, its output allocated once; identity returns ``h`` itself."""
     hv = _val(h)
-    y = _sigma1(kind, hv, heads=heads)
+    y = _sigma1(kind, hv)
     if y is hv:  # identity
         return h
-    return _dispatch(y, (h,), lambda g: (_sigma1_grad(kind, y, g, heads),), finite=True)
+    return _dispatch(y, (h,), lambda g: (_sigma1_grad(kind, y, g),), finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +607,11 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
       rows] (c x d) replace the Q and W_o projections.  (n + m)d^2 for the
       Gram matrices (nd^2 for self-attention), 2nhcd for the hidden and
       merged products, and 2d^3 + 3d^2 d_h + 2cd^2 + 3cd d_h of per-head
-      weight work that does not grow with n or m.
+      weight work that does not grow with n or m.  The n-row tail, sigma1
+      of the hidden product times the merged map, runs over the target rows
+      in blocks of 1,024 as one tape node (``_gram_tail``): beyond its input
+      and output it holds O(1,024 hc), and its backward recomputes each
+      block's hidden, nhcd more MACs, instead of keeping an n x hc array.
 
     The order is chosen from the input shapes alone, with no option: Gram
     when both inputs have more than 2d rows, direct otherwise.  That bound is
@@ -663,11 +667,58 @@ def _multi_head_cov_gram(x_target, x_source, params: MultiHeadParams):
     lt, w_qkv = _cov_weight_map(
         matmul(matmul(transpose(w_q), g_t), w_q), matmul(t, w_k), matmul(t, w_v), hp
     )
-    # one n-row product for all heads: BLAS runs a c-column one far below peak
-    # (on 2 cores, four 8192 x 256 by 256 x 16 products take 7.2 ms, one by
-    # 256 x 64 takes 4.5 ms).  Column block j of the (..., n, h c) result is
-    # head j's pre-activation.
-    pre = matmul(x_target, merge_heads(matmul(w_q, transpose(lt))))
-    hidden = _apply_sigma1(pre, hp.sigma1, heads=h)
-    # row block j of the (..., h c, d) merge is w_qkv_j W_o[head j rows]
-    return matmul(hidden, transpose(merge_heads(matmul(w_o_t, transpose(w_qkv)))))
+    # column block j of the (..., d, h c) merge is W_q,j L_j^T, and row block
+    # j of the (..., h c, d) one is w_qkv_j W_o[head j rows]
+    a = merge_heads(matmul(w_q, transpose(lt)))
+    b = transpose(merge_heads(matmul(w_o_t, transpose(w_qkv))))
+    return _gram_tail(x_target, a, b, hp.sigma1, h)
+
+
+_TAIL_ROWS = 1024  # target rows per block of ``_gram_tail``
+
+
+@_quiet
+def _gram_tail(x, a, b, kind: str, heads: int):
+    """sigma1(x A) B over the rows of x in blocks of ``_TAIL_ROWS``, as one tape node.
+
+    A is (..., d, h c) and B (..., h c, d); column block j of x A is head j's
+    pre-activation, so a softmax sigma1 normalizes each of the ``heads``
+    blocks.  All heads share one product per block: BLAS runs a c-column one
+    far below peak (on 2 cores, four 8192 x 256 by 256 x 16 products take
+    7.2 ms, one by 256 x 64 takes 4.5 ms).  Each block's pre-activation is
+    checked finite, as a composed matmul would be, then sigma1 runs on it in
+    place and its product with B is written into the preallocated output,
+    whose batch axes are the broadcast of the three operands'.  The backward
+    recomputes each block's pre-activation and hidden, a further n d h c
+    MACs, and accumulates the gradients block by block, so neither the
+    forward nor the tape holds an n x h c array: beyond its operands and
+    output the node holds O(``_TAIL_ROWS`` h c).
+    """
+    operands = (x, a, b)
+    xv, av, bv = vals = [_val(t) for t in operands]
+    n = xv.shape[-2]
+    out = np.empty((*_batch_shape("gram tail", vals), n, bv.shape[-1]))
+
+    def blocks():
+        return (slice(r, r + _TAIL_ROWS) for r in range(0, n, _TAIL_ROWS))
+
+    def hidden(rows):
+        pre = xv[..., rows, :] @ av
+        _check_finite(pre)
+        return _sigma1(kind, pre, out=pre, heads=heads)
+
+    for rows in blocks():
+        np.matmul(hidden(rows), bv, out=out[..., rows, :])
+
+    def bw(g):
+        g_x = np.empty(xv.shape)
+        g_a = g_b = 0.0
+        for rows in blocks():
+            x_blk, g_blk, y = xv[..., rows, :], g[..., rows, :], hidden(rows)
+            g_b = g_b + _unbatch(y.swapaxes(-1, -2) @ g_blk, bv.shape)
+            g_pre = _sigma1_grad(kind, y, g_blk @ bv.swapaxes(-1, -2), heads)
+            g_x[..., rows, :] = _unbatch(g_pre @ av.swapaxes(-1, -2), x_blk.shape)
+            g_a = g_a + _unbatch(x_blk.swapaxes(-1, -2) @ g_pre, av.shape)
+        return (g_x, g_a, g_b)
+
+    return _dispatch(out, operands, bw)

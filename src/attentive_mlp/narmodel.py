@@ -130,7 +130,10 @@ class SyntheticTask:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_seed(self.seed)
 
-    def _rng(self, split: str, *stream) -> np.random.Generator:
+    def _rng(self, split: str, count: int, *stream) -> np.random.Generator:
+        """The rng of one split's draws of ``count`` pairs; bad arguments raise here, at the call."""
+        if count < 1:
+            raise ContractError(f"count must be >= 1, got {count}")
         if split not in SPLITS:
             raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
         return np.random.default_rng([self.seed, SPLITS.index(split), *stream])
@@ -141,13 +144,11 @@ class SyntheticTask:
 
     def sample(self, count: int, split: str = "eval") -> list[tuple[np.ndarray, np.ndarray]]:
         """A fixed, reproducible set of (source, target) pairs."""
-        if count < 1:
-            raise ContractError(f"count must be >= 1, got {count}")
-        return self._pairs(self._rng(split), count)
+        return self._pairs(self._rng(split, count), count)
 
     def stream(self, batch_size: int, split: str = "train"):
-        """Endless fresh batches from a persistent rng; a bad split raises at the call."""
-        rng = self._rng(split, 1)
+        """Endless fresh batches from a persistent rng; a bad split or size raises at the call."""
+        rng = self._rng(split, batch_size, 1)
         return (self._pairs(rng, batch_size) for _ in itertools.count())
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,6 +39,7 @@ from attentive_mlp.tensor import (
     matmul,
     merge_heads,
     mul,
+    relu,
     softmax,
     split_heads,
     sum_all,
@@ -844,30 +846,23 @@ class TestMultiHead:
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "batched"])
     def test_sigma1_softmax_over_heads_is_split_softmax_merge(self, lead):
-        # one node with a reshape view in place of split_heads, softmax and
-        # merge_heads: the same value and gradient, bit for bit
+        # _sigma1 and _sigma1_grad with heads=h, through a reshape view, against
+        # split_heads, softmax and merge_heads on the tape: bit for bit
         rng = np.random.default_rng(41)
         h, c = 4, 3
         pre_val, probe = (rng.standard_normal((*lead, 7, h * c)) * 3.0 for _ in range(2))
-        results = []
-        for fused in (True, False):
-            tape = Tape()
-            pre = tape.leaf(pre_val)
-            if fused:
-                out = attention._apply_sigma1(pre, "softmax", heads=h)
-            else:
-                out = merge_heads(softmax(split_heads(pre, h)))
-            backward(tape, sum_all(mul(out, Tensor(probe))))
-            results.append((out.data, pre.grad.data, len(tape)))
-        (out_a, grad_a, nodes_a), (out_b, grad_b, nodes_b) = results
-        assert np.array_equal(out_a, out_b) and np.array_equal(grad_a, grad_b)
-        assert nodes_a == nodes_b - 2
+        tape = Tape()
+        pre = tape.leaf(pre_val)
+        ref = merge_heads(softmax(split_heads(pre, h)))
+        backward(tape, sum_all(mul(ref, Tensor(probe))))
+        y = attention._sigma1("softmax", pre_val.copy(), heads=h)
+        assert np.array_equal(y, ref.data)
+        assert np.array_equal(attention._sigma1_grad("softmax", y, probe, heads=h), pre.grad.data)
 
     @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
     def test_gram_layer_node_count(self, sigma1):
-        # 9 leaves (x, W_q, W_k, W_v, W_o and two heads' c_q, c_k) and 34
-        # ops, one of them sigma1 (none under identity): a softmax layer
-        # recorded 45 when split_heads, softmax and merge_heads were three nodes
+        # 9 leaves (x, W_q, W_k, W_v, W_o and two heads' c_q, c_k) and 32
+        # ops, whatever sigma1: the tail sigma1(x A) B is one node
         rng = np.random.default_rng(42)
         d_model, h, rows = 4, 2, 10
         tape = Tape()
@@ -877,7 +872,7 @@ class TestMultiHead:
             AmlpCovParams(tape.leaf(np.eye(2)), tape.leaf(np.eye(2)), sigma1) for _ in range(h)
         ]
         multi_head_forward(x, x, MultiHeadParams("cov", h, *ws, head_params=heads))
-        assert len(tape) == (42 if sigma1 == "identity" else 43)
+        assert len(tape) == 41
 
     @pytest.mark.parametrize(
         "mechanism, make_heads",
@@ -898,6 +893,101 @@ class TestMultiHead:
         eye = Tensor(np.eye(6))
         with pytest.raises(ConfigError):
             MultiHeadParams("softmax", 4, eye, eye, eye, eye)
+
+
+class TestGramTail:
+    """The Gram order's tail sigma1(x A) B: one node over row blocks, recomputed in its backward."""
+
+    ROWS = 2 * attention._TAIL_ROWS + 7  # two full blocks and a short one
+
+    @staticmethod
+    def composed_tail(x, a, b, kind, heads):
+        # the unblocked reference: three tape ops over all n rows at once
+        pre = matmul(x, a)
+        if kind == "softmax":
+            hidden = merge_heads(softmax(split_heads(pre, heads)))
+        else:
+            hidden = relu(pre) if kind == "relu" else pre
+        return matmul(hidden, b)
+
+    @staticmethod
+    def layer(rng, sigma1, d_model=4, h=2):
+        ws = [Tensor(rng.standard_normal((d_model, d_model)) * d_model**-0.5) for _ in range(4)]
+        heads = [cov_params(rng, 2, d_model // h, sigma1) for _ in range(h)]
+        return MultiHeadParams("cov", h, *ws, head_params=heads)
+
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    @pytest.mark.parametrize("layout", ["rank2-self", "rank3-self", "shared-target"])
+    def test_blocked_matches_composed_tail(self, monkeypatch, sigma1, layout):
+        rng = np.random.default_rng(45)
+        d_model, h, n = 4, 2, self.ROWS
+        x_t = rng.standard_normal((2, n, d_model) if layout == "rank3-self" else (n, d_model))
+        x_s = rng.standard_normal((3, n + 1, d_model)) if layout == "shared-target" else None
+        arrays = [rng.standard_normal((d_model, d_model)) * d_model**-0.5 for _ in range(4)]
+        arrays += [rng.standard_normal((2, d_model // h)) for _ in range(2 * h)]
+        lead = x_t.shape[:-2] if x_s is None else x_s.shape[:-2]
+        probe = Tensor(rng.standard_normal((*lead, n, d_model)))
+
+        def run():
+            tape = Tape()
+            x = tape.leaf(x_t)
+            src = x if x_s is None else tape.leaf(x_s)
+            leaves = [x] + ([src] if x_s is not None else []) + [tape.leaf(a) for a in arrays]
+            ws, cqk = leaves[-8:-4], leaves[-4:]
+            hps = [AmlpCovParams(cq, ck, sigma1) for cq, ck in zip(cqk[::2], cqk[1::2])]
+            out = multi_head_forward(x, src, MultiHeadParams("cov", h, *ws, head_params=hps))
+            backward(tape, sum_all(mul(out, probe)))
+            return out.data, [leaf.grad.data for leaf in leaves]
+
+        out, grads = run()
+        monkeypatch.setattr(attention, "_gram_tail", self.composed_tail)
+        ref_out, ref_grads = run()
+        assert out.shape == ref_out.shape
+        assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_finite_differences_across_blocks(self):
+        # x = z P, so P's gradient carries x's from every block; the layer's
+        # weights carry A's and B's, which the backward sums over the blocks
+        rng = np.random.default_rng(46)
+        d_model, h = 4, 2
+        z = Tensor(rng.standard_normal((self.ROWS, d_model)))
+        probe = Tensor(rng.standard_normal((self.ROWS, d_model)))
+        params = self.layer(rng, "softmax")
+        proj = Tensor(np.eye(d_model) + 0.1 * rng.standard_normal((d_model, d_model)))
+        cqk = [t for hp in params.head_params for t in (hp.c_q, hp.c_k)]
+
+        def f(p, wq, wk, wv, wo, *cqk):
+            hps = [AmlpCovParams(cq, ck, "softmax") for cq, ck in zip(cqk[::2], cqk[1::2])]
+            x = matmul(z, p)
+            out = multi_head_forward(x, x, MultiHeadParams("cov", h, wq, wk, wv, wo, head_params=hps))
+            return sum_all(mul(out, probe))
+
+        leaves = [proj, params.w_q, params.w_k, params.w_v, params.w_o, *cqk]
+        reports = finite_difference_check(f, leaves, h=1e-4, tol=1e-4)
+        assert all(r.passed for r in reports), [(r.index, r.max_rel_err) for r in reports]
+
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    def test_forward_peak_beyond_output_does_not_grow_with_rows(self, sigma1):
+        # a slope, free of the hardware: the forward's traced peak less its
+        # output, at 4 and at 16 blocks of rows.  4 KiB of slack is under a
+        # twentieth of one float64 column over the 12 added blocks
+        rng = np.random.default_rng(44)
+        params = self.layer(rng, sigma1)
+        extra = []
+        for blocks in (4, 16):
+            x = Tensor(rng.standard_normal((blocks * attention._TAIL_ROWS, 4)))
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                out = multi_head_forward(x, x, params)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.data.nbytes)
+        assert extra[1] <= extra[0] + 4096, extra
 
 
 class TestBatchAxis:

@@ -337,6 +337,16 @@ class TestSyntheticTask:
         with pytest.raises(ConfigError, match="split"):
             task.stream(2, split="dev")
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_nonpositive_count_rejected_at_call(self, count):
+        # stream is a generator, so its size is checked at the call, where
+        # sample checks its count, not at the first draw
+        task = SyntheticTask("copy", vocab=5, length=4)
+        with pytest.raises(ContractError, match=f"count must be >= 1, got {count}"):
+            task.sample(count)
+        with pytest.raises(ContractError, match=f"count must be >= 1, got {count}"):
+            task.stream(count)
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
