@@ -185,19 +185,19 @@ class AmlpPQueryParams(_ProjectionPair):
         _check_sigma1(self.sigma1)
 
 
-def _sigma1(kind: str, a: np.ndarray, out: np.ndarray | None = None, heads: int = 1) -> np.ndarray:
-    """sigma1 of the pre-activations ``a``: the one statement of the rule every sigma1 site uses.
+def _sigma1(kind: str, a: np.ndarray, heads: int = 1) -> np.ndarray:
+    """sigma1 of the pre-activations ``a``, in place: the one statement of the rule.
 
-    softmax normalizes each of ``heads`` equal column blocks through a reshape
-    view, relu zeroes negative entries, identity returns ``a``.  ``out`` is
-    None (a new array) or ``a`` (in place); a finite ``a`` gives a finite result.
+    Its callers are the tail's hidden sigma1(X A) (``_sigma1_hidden``) and
+    the causal step, each on a fresh, contiguous product.  softmax normalizes
+    each of ``heads`` equal column blocks through a reshape view, relu zeroes
+    negative entries; a finite ``a`` gives a finite result.
     """
     if kind == "softmax":
-        blocks = (*a.shape[:-1], heads, a.shape[-1] // heads)
-        o = None if out is None else out.reshape(blocks)
-        return _softmax_last(a.reshape(blocks), out=o).reshape(a.shape)
-    if kind == "relu":
-        return np.maximum(a, 0.0, out=out)
+        blocks = a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads)
+        _softmax_last(blocks, out=blocks)
+    elif kind == "relu":
+        np.maximum(a, 0.0, out=a)
     return a
 
 
@@ -211,14 +211,70 @@ def _sigma1_grad(kind: str, y: np.ndarray, g: np.ndarray, heads: int = 1) -> np.
     return g
 
 
+_TAIL_ROWS = 1024  # rows of x per block of ``_sigma1_tail``
+
+
+def _sigma1_hidden(xv: np.ndarray, av: np.ndarray, kind: str, heads: int = 1) -> np.ndarray:
+    """The tail's hidden sigma1(x A): x A checked finite, as a matmul checks it, then sigma1 in place.
+
+    A is (..., d, h c); a softmax sigma1 normalizes each of its ``heads`` column blocks.
+    """
+    pre = xv @ av
+    _check_finite(pre)
+    return _sigma1(kind, pre, heads)
+
+
+def _sigma1_tail_grads(xv, av, bv, y, g, kind: str, heads: int = 1):
+    """(g_x, g_a, g_b) of y B, y = ``_sigma1_hidden(x, A)``, by the composed ops' backward rules.
+
+    They run last op first, each gradient summed back over the batch axes its
+    operand was broadcast along.
+    """
+    g_y = _unbatch(g @ bv.swapaxes(-1, -2), y.shape)
+    g_b = _unbatch(y.swapaxes(-1, -2) @ g, bv.shape)
+    g_pre = _sigma1_grad(kind, y, g_y, heads)
+    g_x = _unbatch(g_pre @ av.swapaxes(-1, -2), xv.shape)
+    return g_x, _unbatch(xv.swapaxes(-1, -2) @ g_pre, av.shape), g_b
+
+
 @_quiet
-def _apply_sigma1(h, kind: str):
-    """``_sigma1`` as one tape node, its output allocated once; identity returns ``h`` itself."""
-    hv = _val(h)
-    y = _sigma1(kind, hv)
-    if y is hv:  # identity
-        return h
-    return _dispatch(y, (h,), lambda g: (_sigma1_grad(kind, y, g),), finite=True)
+def _sigma1_tail(x, a, b, kind: str, heads: int = 1):
+    """sigma1(x A) B as one tape node over (x, A, B), for ``pquery`` and the Gram order.
+
+    A is (..., d, h c) and B (..., h c, d').  Up to ``_TAIL_ROWS`` rows of x
+    are one block, whose hidden the backward keeps.  Longer x is walked in
+    blocks of ``_TAIL_ROWS`` rows into one preallocated output, whose batch
+    axes are the broadcast of the three operands', and the backward
+    recomputes each block's hidden (n d h c more MACs), so beyond its
+    operands, output and gradients the node holds at most ``_TAIL_ROWS``
+    rows of the hidden.
+    """
+    operands = (x, a, b)
+    xv, av, bv = (_val(t) for t in operands)
+    n = xv.shape[-2]
+    if n <= _TAIL_ROWS:
+        y = _sigma1_hidden(xv, av, kind, heads)
+        return _dispatch(y @ bv, operands, lambda g: _sigma1_tail_grads(xv, av, bv, y, g, kind, heads))
+    # numpy multiplies a batched row-block view by a transposed A about twice
+    # as slowly as by a contiguous one (pquery's A = L^T: 0.72 against
+    # 0.39 ms over eight (8, 1024, 16) blocks at c 4, 2-core Xeon)
+    av = np.ascontiguousarray(av)
+    blocks = [slice(r, r + _TAIL_ROWS) for r in range(0, n, _TAIL_ROWS)]
+    out = np.empty((*_batch_shape("sigma1 tail", (xv, av, bv)), n, bv.shape[-1]))
+    for rows in blocks:
+        np.matmul(_sigma1_hidden(xv[..., rows, :], av, kind, heads), bv, out=out[..., rows, :])
+
+    def bw(g):
+        g_x = np.empty(xv.shape)
+        g_a = g_b = 0.0
+        for rows in blocks:
+            x_blk = xv[..., rows, :]
+            y = _sigma1_hidden(x_blk, av, kind, heads)
+            g_x[..., rows, :], g_ab, g_bb = _sigma1_tail_grads(x_blk, av, bv, y, g[..., rows, :], kind, heads)
+            g_a, g_b = g_a + g_ab, g_b + g_bb
+        return g_x, g_a, g_b
+
+    return _dispatch(out, operands, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +402,21 @@ def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
     forward computes what ``amlp_cov_weights`` and two matmuls compose, in
     the same order and bit for bit: the summaries Q^T Q, K^T K and K^T V,
     their row softmaxes, L = c_q softmax(Q^T Q) + c_k softmax(K^T K),
-    w_qkv = L softmax(K^T V), the pre-activation Q L^T, sigma1 and the
-    output.  sigma1 and its backward are ``_sigma1`` (in place on the
-    pre-activation) and ``_sigma1_grad``, the one rule every sigma1 site
-    shares.  The backward runs the composed ops' backward rules in the order
-    the tape would, summing each gradient back over the batch or head axes
-    its operand was broadcast along.  Raises ContractError when a summary,
-    L, w_qkv, the pre-activation or the output is not finite: a later
-    softmax or ReLU would zero a -inf in the first four.
+    w_qkv = L softmax(K^T V), and the tail sigma1(Q w_qk) w_qkv, whose
+    hidden and backward are ``_sigma1_hidden`` and ``_sigma1_tail_grads``,
+    as in every non-causal adaptive forward.  The backward runs the composed
+    ops' backward rules in the order the tape would, summing each gradient
+    back over the batch or head axes its operand was broadcast along.
+    Raises ContractError when a summary, L, w_qkv, the pre-activation or
+    the output is not finite: a later softmax or ReLU would zero a -inf in
+    the first four.
 
     Every intermediate is at most max(n, m) x max(c, d) or d x d; cost and
-    memory grow linearly in n + m for fixed c, d.
+    memory grow linearly in n + m for fixed c, d.  Unlike ``_sigma1_tail``,
+    the tail here is not row-blocked.  The c-independent summaries are most
+    of this op, and blocked, it timed c 4 at 0.90-0.94 of c 16 after the
+    acceptance suite's bench run, where the inner-dimension sweep needs
+    below 0.9 (batch 8, n 8192, d 16; 2-core Xeon).
     """
     params._check_width(inputs.d)
     operands = (inputs.q, inputs.k, inputs.v, params.c_q, params.c_k)
@@ -376,21 +436,17 @@ def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
     del m_q, m_k
     w_qkv = lt @ a_z
     w_qk = lt.swapaxes(-1, -2)
-    pre = qv @ w_qk
-    for a in (lt, w_qkv, pre):
+    for a in (lt, w_qkv):
         _check_finite(a)
     sigma1 = params.sigma1  # the backward holds no Var, so no tape cycle
-    hidden = _sigma1(sigma1, pre, out=pre)
+    hidden = _sigma1_hidden(qv, w_qk, sigma1)
     out = hidden @ w_qkv
 
     def bw(g):
         # the composed ops' backward rules, last op first, each gradient
         # summed in the order the tape would sum it
-        g_hidden = _unbatch(g @ w_qkv.swapaxes(-1, -2), hidden.shape)
-        g_wqkv = _unbatch(hidden.swapaxes(-1, -2) @ g, w_qkv.shape)
-        g_pre = _sigma1_grad(sigma1, hidden, g_hidden)
-        g_q = _unbatch(g_pre @ lt, qv.shape)
-        g_lt = _unbatch(qt @ g_pre, w_qk.shape).swapaxes(-1, -2)
+        g_q, g_wqk, g_wqkv = _sigma1_tail_grads(qv, w_qk, w_qkv, hidden, g, sigma1)
+        g_lt = g_wqk.swapaxes(-1, -2)
         g_lt = g_lt + _unbatch(g_wqkv @ a_z.swapaxes(-1, -2), lt.shape)
         g_z = _softmax_grad(a_z, _unbatch(w_qk @ g_wqkv, a_z.shape))
         g_mk = _unbatch(g_lt, shape_mk)
@@ -435,10 +491,13 @@ def amlp_pquery_weights(inputs: AttentionInputs, params: AmlpPQueryParams):
 
 
 def amlp_pquery_forward(inputs: AttentionInputs, params: AmlpPQueryParams):
-    """sigma1(Q w_qk) w_qkv with pseudo-query weights; output is ([B x] n) x d."""
+    """sigma1(Q w_qk) w_qkv with pseudo-query weights; output is ([B x] n) x d.
+
+    The tail sigma1(Q w_qk) w_qkv is one ``_sigma1_tail`` node, as in the
+    Gram order.
+    """
     w_qk, w_qkv = amlp_pquery_weights(inputs, params)
-    hidden = _apply_sigma1(matmul(inputs.q, w_qk), params.sigma1)
-    return matmul(hidden, w_qkv)
+    return _sigma1_tail(inputs.q, w_qk, w_qkv, params.sigma1)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +582,7 @@ def causal_amlp_cov_step(
     r_q, r_k, r_z = e.sum(axis=-2)
     lt = (params.c_q.data / r_q) @ e[0].T + (params.c_k.data / r_k) @ e[1].T
     hidden = qv @ lt.T
-    hidden = _sigma1(params.sigma1, hidden, out=hidden)
+    _sigma1(params.sigma1, hidden)
     out = ((hidden @ lt) / r_z) @ e[2].T
     return Tensor._wrap(out), new_state
 
@@ -608,10 +667,11 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
       Gram matrices (nd^2 for self-attention), 2nhcd for the hidden and
       merged products, and 2d^3 + 3d^2 d_h + 2cd^2 + 3cd d_h of per-head
       weight work that does not grow with n or m.  The n-row tail, sigma1
-      of the hidden product times the merged map, runs over the target rows
-      in blocks of 1,024 as one tape node (``_gram_tail``): beyond its input
-      and output it holds O(1,024 hc), and its backward recomputes each
-      block's hidden, nhcd more MACs, instead of keeping an n x hc array.
+      of the hidden product times the merged map, is the tail node
+      ``_sigma1_tail`` that ``pquery`` runs too: past 1,024 target rows it
+      walks them in blocks of 1,024, holds O(1,024 hc) beyond its input and
+      output, and its backward recomputes each block's hidden, nhcd more
+      MACs, instead of keeping an n x hc array.
 
     The order is chosen from the input shapes alone, with no option: Gram
     when both inputs have more than 2d rows, direct otherwise.  That bound is
@@ -668,57 +728,10 @@ def _multi_head_cov_gram(x_target, x_source, params: MultiHeadParams):
         matmul(matmul(transpose(w_q), g_t), w_q), matmul(t, w_k), matmul(t, w_v), hp
     )
     # column block j of the (..., d, h c) merge is W_q,j L_j^T, and row block
-    # j of the (..., h c, d) one is w_qkv_j W_o[head j rows]
+    # j of the (..., h c, d) one is w_qkv_j W_o[head j rows].  All heads share
+    # one n-row product: BLAS runs a c-column one far below peak (on 2 cores,
+    # four 8192 x 256 by 256 x 16 products take 7.2 ms, one by 256 x 64 takes
+    # 4.5 ms)
     a = merge_heads(matmul(w_q, transpose(lt)))
     b = transpose(merge_heads(matmul(w_o_t, transpose(w_qkv))))
-    return _gram_tail(x_target, a, b, hp.sigma1, h)
-
-
-_TAIL_ROWS = 1024  # target rows per block of ``_gram_tail``
-
-
-@_quiet
-def _gram_tail(x, a, b, kind: str, heads: int):
-    """sigma1(x A) B over the rows of x in blocks of ``_TAIL_ROWS``, as one tape node.
-
-    A is (..., d, h c) and B (..., h c, d); column block j of x A is head j's
-    pre-activation, so a softmax sigma1 normalizes each of the ``heads``
-    blocks.  All heads share one product per block: BLAS runs a c-column one
-    far below peak (on 2 cores, four 8192 x 256 by 256 x 16 products take
-    7.2 ms, one by 256 x 64 takes 4.5 ms).  Each block's pre-activation is
-    checked finite, as a composed matmul would be, then sigma1 runs on it in
-    place and its product with B is written into the preallocated output,
-    whose batch axes are the broadcast of the three operands'.  The backward
-    recomputes each block's pre-activation and hidden, a further n d h c
-    MACs, and accumulates the gradients block by block, so neither the
-    forward nor the tape holds an n x h c array: beyond its operands and
-    output the node holds O(``_TAIL_ROWS`` h c).
-    """
-    operands = (x, a, b)
-    xv, av, bv = vals = [_val(t) for t in operands]
-    n = xv.shape[-2]
-    out = np.empty((*_batch_shape("gram tail", vals), n, bv.shape[-1]))
-
-    def blocks():
-        return (slice(r, r + _TAIL_ROWS) for r in range(0, n, _TAIL_ROWS))
-
-    def hidden(rows):
-        pre = xv[..., rows, :] @ av
-        _check_finite(pre)
-        return _sigma1(kind, pre, out=pre, heads=heads)
-
-    for rows in blocks():
-        np.matmul(hidden(rows), bv, out=out[..., rows, :])
-
-    def bw(g):
-        g_x = np.empty(xv.shape)
-        g_a = g_b = 0.0
-        for rows in blocks():
-            x_blk, g_blk, y = xv[..., rows, :], g[..., rows, :], hidden(rows)
-            g_b = g_b + _unbatch(y.swapaxes(-1, -2) @ g_blk, bv.shape)
-            g_pre = _sigma1_grad(kind, y, g_blk @ bv.swapaxes(-1, -2), heads)
-            g_x[..., rows, :] = _unbatch(g_pre @ av.swapaxes(-1, -2), x_blk.shape)
-            g_a = g_a + _unbatch(x_blk.swapaxes(-1, -2) @ g_pre, av.shape)
-        return (g_x, g_a, g_b)
-
-    return _dispatch(out, operands, bw)
+    return _sigma1_tail(x_target, a, b, hp.sigma1, h)

@@ -70,6 +70,18 @@ class InputError(ValueError):
     """Model input (token ids, sequence length) is malformed."""
 
 
+def _ragged_row(rows, length: int) -> str:
+    """Name the first of ``rows`` that is not ``length`` tokens long."""
+    for i, row in enumerate(rows):
+        try:
+            shape = np.shape(row)
+        except ValueError:  # the row is ragged itself
+            return f"row {i} is ragged"
+        if shape != (length,):
+            return f"row {i} has shape {shape}"
+    return "the rows do not stack"
+
+
 def _check_seed(seed: int) -> None:
     # numpy's generators take only non-negative seeds
     if seed < 0:
@@ -198,19 +210,23 @@ class NarModel:
 
     # -- forward ----------------------------------------------------------
 
-    def _check_source(self, source_tokens) -> np.ndarray:
-        """One source (source_len,) or a nonempty batch (B, source_len) of token ids."""
+    def _check_tokens(self, tokens, what: str, length: int) -> np.ndarray:
+        """One row (length,) or a nonempty batch (B, length) of integer token ids, as int64.
+
+        Ids of another dtype (float, bool, str) are refused, never converted.
+        """
         try:
-            src = np.asarray(source_tokens, dtype=np.int64)
-        except ValueError as exc:  # ragged batch
-            raise InputError(f"sources must all have {self.config.source_len} tokens: {exc}") from None
-        if src.ndim not in (1, 2) or src.shape[-1] != self.config.source_len or src.size == 0:
-            raise InputError(
-                f"source must have {self.config.source_len} tokens, got shape {src.shape}"
-            )
-        if src.min() < 0 or src.max() >= self.config.vocab_size:
+            ids = np.asarray(tokens)
+        except ValueError:  # numpy refuses a ragged batch
+            detail = _ragged_row(tokens, length)
+            raise InputError(f"{what} must all have {length} tokens: {detail}") from None
+        if ids.ndim not in (1, 2) or ids.shape[-1] != length or ids.size == 0:
+            raise InputError(f"{what} must have {length} tokens, got shape {ids.shape}")
+        if not np.issubdtype(ids.dtype, np.integer):  # bool is not an integer dtype
+            raise InputError(f"{what} must be integer token ids, got dtype {ids.dtype}")
+        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
             raise InputError(f"token out of range for vocab {self.config.vocab_size}")
-        return src
+        return ids.astype(np.int64, copy=False)
 
     def _attention(self, block: str, x_target, x_source, p):
         cfg = self.config
@@ -231,7 +247,7 @@ class NarModel:
         The decoder's self-attention block sees only position embeddings and
         parameters, so it runs once at rank 2 and is shared by every source.
         """
-        src = self._check_source(source_tokens)
+        src = self._check_tokens(source_tokens, "sources", self.config.source_len)
         x = add(gather_rows(p["embed"], src), p["src_pos"])
         x = layer_norm(add(x, self._attention("enc_self", x, x, p)), p["enc_ln1.g"], p["enc_ln1.b"])
         ff = mlp_forward(x, p["enc_mlp.w1"], p["enc_mlp.w2"])
@@ -260,8 +276,8 @@ class NarModel:
         """
         if not batch:
             raise ContractError("batch must be nonempty")
-        sources = self._check_source([source for source, _ in batch])
-        targets = np.asarray([target for _, target in batch], dtype=np.int64)
+        sources = self._check_tokens([s for s, _ in batch], "sources", self.config.source_len)
+        targets = self._check_tokens([t for _, t in batch], "targets", self.config.seq_len)
         tape = Tape()
         p = {k: tape.leaf(Tensor._wrap(v, finite=True)) for k, v in self.params.items()}
         loss = cross_entropy(self._forward(sources, p), targets)

@@ -564,11 +564,19 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     return _dispatch(out, (x, gain, bias), bw)
 
 
+def _indices(op: str, indices) -> np.ndarray:
+    """Integer indices as int64; any other dtype (float, bool, str) raises ContractError."""
+    idx = np.asarray(indices)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ContractError(f"{op} needs integer indices, got dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 @_quiet
 def gather_rows(table, indices):
     """Select rows of a rank-2 table by rank-1 or rank-2 indices; backward scatter-adds."""
     tv = _val(table)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _indices("gather_rows", indices)
     if tv.ndim != 2 or idx.ndim not in (1, 2):
         raise DimensionError("gather_rows needs a rank-2 table and rank-1 or rank-2 indices")
     if idx.size == 0 or idx.min() < 0 or idx.max() >= tv.shape[0]:
@@ -590,7 +598,7 @@ def cross_entropy(logits, targets):
     the mean runs over all B*n positions.
     """
     full = _val(logits)
-    idx = np.asarray(targets, dtype=np.int64)
+    idx = _indices("cross_entropy", targets)
     if full.ndim not in (2, 3) or idx.shape != full.shape[:-1]:
         raise DimensionError(
             f"cross_entropy needs ([B,]n,v) logits with ([B,]n) targets, got {full.shape} and {idx.shape}"

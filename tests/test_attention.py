@@ -150,6 +150,16 @@ def pquery_params(rng, c, d, beta=0.5, sigma1="softmax"):
     )
 
 
+def composed_tail(x, a, b, kind, heads=1):
+    """sigma1(x A) B from public tape ops over all rows at once: the unblocked reference."""
+    pre = matmul(x, a)
+    if kind == "softmax":
+        hidden = softmax(pre) if heads == 1 else merge_heads(softmax(split_heads(pre, heads)))
+    else:
+        hidden = relu(pre) if kind == "relu" else pre
+    return matmul(hidden, b)
+
+
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -382,7 +392,8 @@ class TestAmlpCov:
     @pytest.mark.parametrize("layout", sorted(OP_SHAPES))
     def test_one_node_matches_composed_weights(self, layout, sigma1):
         # the fused op against sigma1(q @ w_qk) @ w_qkv composed from
-        # amlp_cov_weights: the same forward bit for bit, and the same gradients
+        # amlp_cov_weights and public ops: the same forward bit for bit, and
+        # the same gradients
         rng = np.random.default_rng(19)
         q_s, k_s, v_s, c_s = self.OP_SHAPES[layout]
         arrays = [rng.standard_normal(s) * 0.7 for s in (q_s, k_s, v_s, c_s, c_s)]
@@ -401,7 +412,7 @@ class TestAmlpCov:
 
         def composed(inputs, params):
             w_qk, w_qkv = amlp_cov_weights(inputs, params)
-            return matmul(attention._apply_sigma1(matmul(inputs.q, w_qk), sigma1), w_qkv)
+            return composed_tail(inputs.q, w_qk, w_qkv, sigma1)
 
         out, grads, nodes = run(amlp_cov_forward)
         ref_out, ref_grads, _ = run(composed)
@@ -532,6 +543,20 @@ class TestAmlpPQuery:
 
         reports = finite_difference_check(f, [p.c_q, p.c_k, p.w, inputs.q], h=1e-4, tol=1e-4)
         assert all(r.passed for r in reports), [(r.index, r.max_rel_err) for r in reports]
+
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    def test_tail_is_one_node(self, sigma1):
+        # sigma1(Q w_qk) w_qkv adds one node to the weights' nodes, whatever sigma1
+        rng = np.random.default_rng(29)
+        arrays = [rng.standard_normal(s) for s in ((5, 4), (3, 4), (3, 4), (2, 4), (2, 4), (8, 4))]
+
+        def nodes(fn):
+            tape = Tape()
+            q, k, v, cq, ck, w = (tape.leaf(a) for a in arrays)
+            fn(AttentionInputs(q, k, v), AmlpPQueryParams(cq, ck, w, sigma1=sigma1))
+            return len(tape)
+
+        assert nodes(amlp_pquery_forward) == nodes(amlp_pquery_weights) + 1
 
 
 class TestCausalCov:
@@ -896,19 +921,9 @@ class TestMultiHead:
 
 
 class TestGramTail:
-    """The Gram order's tail sigma1(x A) B: one node over row blocks, recomputed in its backward."""
+    """The sigma1 tail sigma1(x A) B: one node over row blocks, recomputed in its backward."""
 
     ROWS = 2 * attention._TAIL_ROWS + 7  # two full blocks and a short one
-
-    @staticmethod
-    def composed_tail(x, a, b, kind, heads):
-        # the unblocked reference: three tape ops over all n rows at once
-        pre = matmul(x, a)
-        if kind == "softmax":
-            hidden = merge_heads(softmax(split_heads(pre, heads)))
-        else:
-            hidden = relu(pre) if kind == "relu" else pre
-        return matmul(hidden, b)
 
     @staticmethod
     def layer(rng, sigma1, d_model=4, h=2):
@@ -940,12 +955,35 @@ class TestGramTail:
             return out.data, [leaf.grad.data for leaf in leaves]
 
         out, grads = run()
-        monkeypatch.setattr(attention, "_gram_tail", self.composed_tail)
+        monkeypatch.setattr(attention, "_sigma1_tail", composed_tail)
         ref_out, ref_grads = run()
         assert out.shape == ref_out.shape
         assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
         for g, ref in zip(grads, ref_grads):
             assert g.shape == ref.shape
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
+    def test_pquery_blocked_matches_composed_tail(self, monkeypatch, sigma1):
+        # pquery's one-head tail over a rank-3 query of two full blocks and a
+        # short one, against the composed tail over all rows at once
+        rng = np.random.default_rng(47)
+        arrays = [rng.standard_normal(s) for s in ((2, self.ROWS, 4), (2, 5, 4), (2, 5, 4))]
+        arrays += [rng.standard_normal(s) * 0.5 for s in ((2, 4), (2, 4), (8, 4))]
+        probe = Tensor(rng.standard_normal((2, self.ROWS, 4)))
+
+        def run():
+            tape = Tape()
+            q, k, v, cq, ck, w = leaves = [tape.leaf(a) for a in arrays]
+            out = amlp_pquery_forward(AttentionInputs(q, k, v), AmlpPQueryParams(cq, ck, w, sigma1=sigma1))
+            backward(tape, sum_all(mul(out, probe)))
+            return out.data, [leaf.grad.data for leaf in leaves]
+
+        out, grads = run()
+        monkeypatch.setattr(attention, "_sigma1_tail", composed_tail)
+        ref_out, ref_grads = run()
+        assert np.abs(out - ref_out).max() <= 1e-12 * np.abs(ref_out).max()
+        for g, ref in zip(grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_finite_differences_across_blocks(self):
@@ -969,20 +1007,39 @@ class TestGramTail:
         reports = finite_difference_check(f, leaves, h=1e-4, tol=1e-4)
         assert all(r.passed for r in reports), [(r.index, r.max_rel_err) for r in reports]
 
-    @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
-    def test_forward_peak_beyond_output_does_not_grow_with_rows(self, sigma1):
+    def long_forward(self, forward, sigma1, rng):
+        """A forward over rows of query at d 4 whose every other input is short."""
+        if forward == "gram":
+            params = self.layer(rng, sigma1)
+            return lambda x: multi_head_forward(x, x, params)
+        # the query is the only long input, and v is 32 wide, so the output
+        # outweighs the weights' n x 4 smoothed queries and their 2 x n
+        # position softmaxes, and the peak beyond the output is the tail's
+        k = Tensor(rng.standard_normal((2, 9, 4)))
+        params = pquery_params(rng, 2, 4, sigma1=sigma1)
+        v = Tensor(rng.standard_normal((2, 9, 32)))
+        return lambda q: amlp_pquery_forward(AttentionInputs(q, k, v), params)
+
+    CASES = [(f, s) for f in ("gram", "pquery") for s in ("identity", "relu", "softmax")]
+
+    @pytest.mark.parametrize(
+        "forward, sigma1", CASES, ids=[s if f == "gram" else f"{f}-{s}" for f, s in CASES]
+    )
+    def test_forward_peak_beyond_output_does_not_grow_with_rows(self, forward, sigma1):
         # a slope, free of the hardware: the forward's traced peak less its
-        # output, at 4 and at 16 blocks of rows.  4 KiB of slack is under a
+        # output, at 4 and at 16 blocks of rows, for the Gram order's layer
+        # and for pquery over a long rank-3 query.  4 KiB of slack is under a
         # twentieth of one float64 column over the 12 added blocks
         rng = np.random.default_rng(44)
-        params = self.layer(rng, sigma1)
+        run = self.long_forward(forward, sigma1, rng)
         extra = []
         for blocks in (4, 16):
-            x = Tensor(rng.standard_normal((blocks * attention._TAIL_ROWS, 4)))
+            rows = blocks * attention._TAIL_ROWS
+            x = Tensor(rng.standard_normal((rows, 4) if forward == "gram" else (2, rows, 4)))
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                out = multi_head_forward(x, x, params)
+                out = run(x)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

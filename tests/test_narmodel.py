@@ -97,6 +97,26 @@ class TestForward:
         with pytest.raises(InputError):
             model.forward([0, 1, 2])
 
+    @pytest.mark.parametrize(
+        "tokens, dtype",
+        [
+            ([0.9, 1.7, 2.2, 3.99], "float64"),  # was truncated and decoded as [0, 1, 2, 3]
+            (["1", "2", "3", "0"], "<U1"),  # was parsed
+            (["a", "b", "c", "d"], "<U1"),  # was reported as a length fault
+            ([True, False, True, True], "bool"),
+        ],
+        ids=["float", "digits", "letters", "bool"],
+    )
+    def test_non_integer_source_names_its_dtype(self, tokens, dtype):
+        with pytest.raises(InputError, match=f"^sources must be integer token ids, got dtype {dtype}$"):
+            NarModel(TINY).generate(tokens)
+
+    def test_any_integer_dtype_decodes_alike(self):
+        model = NarModel(TINY)
+        want = model.generate([0, 1, 2, 3])
+        for dtype in (np.int32, np.uint8):
+            assert np.array_equal(model.generate(np.array([0, 1, 2, 3], dtype=dtype)), want)
+
     def test_targets_never_reach_the_forward_pass(self):
         # with lr=0 a training step computes losses against arbitrary targets
         # without moving parameters, so the decode cannot depend on them
@@ -245,6 +265,24 @@ class TestBatchedTape:
     def test_ragged_batch_rejected(self):
         with pytest.raises(InputError):
             NarModel(TINY).train_step([(np.arange(4), np.arange(4)), (np.arange(3), np.arange(3))])
+
+    @pytest.mark.parametrize("side", ["sources", "targets"])
+    def test_ragged_batch_names_its_row(self, side):
+        # one 3-token target raised numpy's ValueError
+        good, short = np.arange(4), np.arange(3)
+        pairs = [(good, good), (good, good), (short, good) if side == "sources" else (good, short)]
+        with pytest.raises(InputError, match=rf"^{side} must all have 4 tokens: row 2 has shape \(3,\)$"):
+            NarModel(TINY).loss_and_grads(pairs)
+
+    def test_non_integer_targets_name_their_dtype(self):
+        # [0.5, 1.5, 2.5, 3.5] gave the loss of the targets [0, 1, 2, 3]
+        batch = [(np.arange(4), np.array([0.5, 1.5, 2.5, 3.5]))]
+        with pytest.raises(InputError, match="^targets must be integer token ids, got dtype float64$"):
+            NarModel(TINY).loss_and_grads(batch)
+
+    def test_targets_out_of_vocab_rejected(self):
+        with pytest.raises(InputError, match="^token out of range for vocab 7$"):
+            NarModel(TINY).loss_and_grads([(np.arange(4), np.array([0, 1, 2, 7]))])
 
     def test_empty_source_batch_rejected(self):
         with pytest.raises(InputError):

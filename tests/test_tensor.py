@@ -311,6 +311,26 @@ class TestElementwiseAndShape:
         with pytest.raises(DimensionError):
             add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize(
+        "indices, dtype",
+        [([0.9, 2.7], "float64"), ([True, False], "bool"), (["0", "2"], "<U1")],
+        ids=["float", "bool", "str"],
+    )
+    def test_index_ops_reject_non_integer_indices(self, indices, dtype):
+        # a float index was truncated: gather_rows(table, [0.9, 2.7]) gave rows 0 and 2
+        table = Tensor(np.arange(12.0).reshape(4, 3))
+        with pytest.raises(ContractError, match=f"^gather_rows needs integer indices, got dtype {dtype}$"):
+            gather_rows(table, indices)
+        with pytest.raises(ContractError, match=f"^cross_entropy needs integer indices, got dtype {dtype}$"):
+            cross_entropy(Tensor(np.zeros((2, 3))), indices)
+
+    def test_index_ops_take_any_integer_dtype(self):
+        table = np.arange(12.0).reshape(4, 3)
+        for dtype in (np.int32, np.uint8, np.int64):
+            idx = np.array([3, 0], dtype=dtype)
+            assert np.array_equal(gather_rows(Tensor(table), idx).data, table[[3, 0]])
+            assert cross_entropy(Tensor(np.zeros((2, 4))), idx).item() == pytest.approx(np.log(4))
+
 
 class TestBackward:
     def test_grad_of_sum_is_ones(self):
