@@ -241,20 +241,15 @@ def _sigma1_tail_grads(xv, av, bv, y, g, kind: str, heads: int = 1):
 def _sigma1_tail(x, a, b, kind: str, heads: int = 1):
     """sigma1(x A) B as one tape node over (x, A, B), for ``pquery`` and the Gram order.
 
-    A is (..., d, h c) and B (..., h c, d').  Up to ``_TAIL_ROWS`` rows of x
-    are one block, whose hidden the backward keeps.  Longer x is walked in
-    blocks of ``_TAIL_ROWS`` rows into one preallocated output, whose batch
-    axes are the broadcast of the three operands', and the backward
-    recomputes each block's hidden (n d h c more MACs), so beyond its
-    operands, output and gradients the node holds at most ``_TAIL_ROWS``
-    rows of the hidden.
+    A is (..., d, h c) and B (..., h c, d').  The rows of x are walked in
+    blocks of ``_TAIL_ROWS`` into one preallocated output, whose batch axes
+    are the broadcast of the three operands', and the backward recomputes
+    each block's hidden (n d h c more MACs), so beyond its operands, output
+    and gradients the node holds at most ``_TAIL_ROWS`` rows of the hidden.
     """
     operands = (x, a, b)
     xv, av, bv = (_val(t) for t in operands)
     n = xv.shape[-2]
-    if n <= _TAIL_ROWS:
-        y = _sigma1_hidden(xv, av, kind, heads)
-        return _dispatch(y @ bv, operands, lambda g: _sigma1_tail_grads(xv, av, bv, y, g, kind, heads))
     # numpy multiplies a batched row-block view by a transposed A about twice
     # as slowly as by a contiguous one (pquery's A = L^T: 0.72 against
     # 0.39 ms over eight (8, 1024, 16) blocks at c 4, 2-core Xeon)
@@ -413,10 +408,9 @@ def amlp_cov_forward(inputs: AttentionInputs, params: AmlpCovParams):
 
     Every intermediate is at most max(n, m) x max(c, d) or d x d; cost and
     memory grow linearly in n + m for fixed c, d.  Unlike ``_sigma1_tail``,
-    the tail here is not row-blocked.  The c-independent summaries are most
-    of this op, and blocked, it timed c 4 at 0.90-0.94 of c 16 after the
-    acceptance suite's bench run, where the inner-dimension sweep needs
-    below 0.9 (batch 8, n 8192, d 16; 2-core Xeon).
+    the tail here keeps the whole n x c hidden: row-blocked, c 4 timed
+    0.90-0.94 of c 16 in the acceptance suite's inner-dimension sweep, which
+    needs below 0.9 (4 sources x 2 heads, n 8192, d 16; 2-core Xeon).
     """
     params._check_width(inputs.d)
     operands = (inputs.q, inputs.k, inputs.v, params.c_q, params.c_k)

@@ -565,9 +565,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
 
 
 def _indices(op: str, indices) -> np.ndarray:
-    """Integer indices as int64; any other dtype (float, bool, str) raises ContractError."""
+    """Integer indices as int64; nonempty indices of another dtype (float, bool, str) raise ContractError.
+
+    numpy reads an empty list as float64, so empty indices are left to the
+    caller's own check.
+    """
     idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise ContractError(f"{op} needs integer indices, got dtype {idx.dtype}")
     return idx.astype(np.int64, copy=False)
 

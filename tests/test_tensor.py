@@ -324,6 +324,13 @@ class TestElementwiseAndShape:
         with pytest.raises(ContractError, match=f"^cross_entropy needs integer indices, got dtype {dtype}$"):
             cross_entropy(Tensor(np.zeros((2, 3))), indices)
 
+    def test_empty_indices_keep_their_own_message(self):
+        # numpy reads [] as float64; the dtype check leaves it to each op's own check
+        with pytest.raises(ContractError, match="^indices out of range for table with 4 rows$"):
+            gather_rows(Tensor(np.arange(12.0).reshape(4, 3)), [])
+        with pytest.raises(DimensionError, match="targets, got \\(2, 3\\) and \\(0,\\)$"):
+            cross_entropy(Tensor(np.zeros((2, 3))), [])
+
     def test_index_ops_take_any_integer_dtype(self):
         table = np.arange(12.0).reshape(4, 3)
         for dtype in (np.int32, np.uint8, np.int64):
