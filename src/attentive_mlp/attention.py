@@ -243,9 +243,11 @@ def _sigma1_tail(x, a, b, kind: str, heads: int = 1):
 
     A is (..., d, h c) and B (..., h c, d').  The rows of x are walked in
     blocks of ``_TAIL_ROWS`` into one preallocated output, whose batch axes
-    are the broadcast of the three operands', and the backward recomputes
-    each block's hidden (n d h c more MACs), so beyond its operands, output
-    and gradients the node holds at most ``_TAIL_ROWS`` rows of the hidden.
+    are the broadcast of the three operands'.  The node keeps the last
+    block's hidden, and the backward recomputes every other block's (up to
+    n d h c more MACs; none when one block holds every row), so beyond its
+    operands, output and gradients the node holds at most two blocks of the
+    hidden: the kept one and one recomputed.
     """
     operands = (x, a, b)
     xv, av, bv = (_val(t) for t in operands)
@@ -255,17 +257,25 @@ def _sigma1_tail(x, a, b, kind: str, heads: int = 1):
     # 0.39 ms over eight (8, 1024, 16) blocks at c 4, 2-core Xeon)
     av = np.ascontiguousarray(av)
     blocks = [slice(r, r + _TAIL_ROWS) for r in range(0, n, _TAIL_ROWS)]
+    last = blocks[-1]
     out = np.empty((*_batch_shape("sigma1 tail", (xv, av, bv)), n, bv.shape[-1]))
-    for rows in blocks:
-        np.matmul(_sigma1_hidden(xv[..., rows, :], av, kind, heads), bv, out=out[..., rows, :])
+
+    def hidden(rows):
+        return _sigma1_hidden(xv[..., rows, :], av, kind, heads)
+
+    for rows in blocks[:-1]:
+        np.matmul(hidden(rows), bv, out=out[..., rows, :])
+    y = hidden(last)  # kept for the backward
+    np.matmul(y, bv, out=out[..., last, :])
 
     def bw(g):
         g_x = np.empty(xv.shape)
         g_a = g_b = 0.0
         for rows in blocks:
-            x_blk = xv[..., rows, :]
-            y = _sigma1_hidden(x_blk, av, kind, heads)
-            g_x[..., rows, :], g_ab, g_bb = _sigma1_tail_grads(x_blk, av, bv, y, g[..., rows, :], kind, heads)
+            y_rows = y if rows is last else hidden(rows)
+            g_x[..., rows, :], g_ab, g_bb = _sigma1_tail_grads(
+                xv[..., rows, :], av, bv, y_rows, g[..., rows, :], kind, heads
+            )
             g_a, g_b = g_a + g_ab, g_b + g_bb
         return g_x, g_a, g_b
 
@@ -664,8 +674,9 @@ def multi_head_forward(x_target, x_source, params: MultiHeadParams):
       of the hidden product times the merged map, is the tail node
       ``_sigma1_tail`` that ``pquery`` runs too: past 1,024 target rows it
       walks them in blocks of 1,024, holds O(1,024 hc) beyond its input and
-      output, and its backward recomputes each block's hidden, nhcd more
-      MACs, instead of keeping an n x hc array.
+      output, and its backward recomputes the hidden of every block but the
+      last, whose hidden the node keeps (at most nhcd more MACs), instead of
+      keeping an n x hc array.
 
     The order is chosen from the input shapes alone, with no option: Gram
     when both inputs have more than 2d rows, direct otherwise.  That bound is

@@ -27,8 +27,13 @@ A Tape records, per node, its input ids and its backward rule.  Every leaf
 Tensor, so it records no node.  Of the Vars the tape holds only its leaves,
 and only until ``backward`` has assigned their gradients: ``.grad`` is set on
 those leaves and nowhere else.  An op output is held by its caller alone, so
-a dropped intermediate is freed during the forward pass, and a spent graph
-is freed by reference counting as soon as the caller drops its Vars.
+a dropped intermediate is freed during the forward pass.  A rule keeps only
+the arrays it reads (``relu`` its output, not its input; ``add`` and
+``sum_all`` only shapes), and ``backward`` frees each node's rule and
+activation gradient as soon as the rule has run, so the reverse pass holds
+the part of the tape it has not reached yet, not the whole tape plus every
+gradient.  A spent graph is freed by reference counting as soon as the
+caller drops its Vars.
 
 Every op output is checked to be finite by one sum over its elements, except
 where finiteness follows from the operands': the layout ops only rearrange
@@ -207,10 +212,13 @@ class Tape:
     Build once, backward once.  A Tape and its Vars belong to one logical
     thread; distinct Tapes may be used concurrently.  Each node is a tuple
     (input node ids, backward rule); an operand that is not a Var is recorded
-    as input id None and gets no node.  The tape holds no op outputs, and
-    holds its leaves only until ``backward`` has assigned their gradients, so
-    a spent tape is freed by reference counting as soon as the caller's Vars
-    go; ``len`` still reports the node count.
+    as input id None and gets no node.  The tape holds no op outputs.  Its
+    rules hold the arrays they read: ``backward`` replaces each node by
+    (input node ids, None) once its rule has run, freeing those arrays while
+    it walks, and drops its hold on the leaves once their gradients are
+    assigned.  So the tape frees itself as the reverse pass goes, and a spent
+    tape is freed by reference counting as soon as the caller's Vars go;
+    ``len`` still reports the node count.
     """
 
     def __init__(self) -> None:
@@ -345,7 +353,8 @@ def _elementwise(op, fn, av, bv):
 def add(a, b):
     av, bv = _val(a), _val(b)
     out = _elementwise("add", np.add, av, bv)
-    return _dispatch(out, (a, b), lambda g: (_unbatch(g, av.shape), _unbatch(g, bv.shape)))
+    sa, sb = av.shape, bv.shape  # the rule reads only the shapes
+    return _dispatch(out, (a, b), lambda g: (_unbatch(g, sa), _unbatch(g, sb)))
 
 
 @_quiet
@@ -378,8 +387,9 @@ def add_bias(x, b):
 
 @_quiet
 def relu(x):
-    xv = _val(x)
-    return _dispatch(np.maximum(xv, 0.0), (x,), lambda g: (g * (xv > 0.0),), finite=True)
+    # the output gives the input's mask: out > 0 exactly where x > 0
+    out = np.maximum(_val(x), 0.0)
+    return _dispatch(out, (x,), lambda g: (g * (out > 0.0),), finite=True)
 
 
 # Shifted logits below this are flushed to probability exactly 0.  numpy's exp
@@ -470,9 +480,10 @@ def split_heads(x, heads: int):
     xv = _val(x)
     if xv.ndim not in (2, 3) or heads < 1 or xv.shape[-1] % heads:
         raise DimensionError(f"cannot split shape {xv.shape} into {heads} heads")
-    *lead, n, width = xv.shape
+    shape = xv.shape
+    *lead, n, width = shape
     out = np.swapaxes(xv.reshape(*lead, n, heads, width // heads), -3, -2)
-    return _dispatch(out, (x,), lambda g: (np.swapaxes(g, -3, -2).reshape(xv.shape),), finite=True)
+    return _dispatch(out, (x,), lambda g: (np.swapaxes(g, -3, -2).reshape(shape),), finite=True)
 
 
 def merge_heads(x):
@@ -499,7 +510,8 @@ def stack(*parts):
 def sum_all(x):
     """Sum of all elements, as a rank-0 scalar."""
     xv = _val(x)
-    return _dispatch(np.asarray(xv.sum()), (x,), lambda g: (np.broadcast_to(g, xv.shape).copy(),))
+    shape = xv.shape
+    return _dispatch(np.asarray(xv.sum()), (x,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 @_quiet
@@ -550,9 +562,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     xhat *= inv
     out = xhat * gv
     out += bv
+    rows = tuple(range(xv.ndim - 1))
 
     def bw(g):
-        rows = tuple(range(xv.ndim - 1))
         dgain = (g * xhat).sum(axis=rows)
         dbias = g.sum(axis=rows)
         dxhat = g * gv
@@ -586,8 +598,10 @@ def gather_rows(table, indices):
     if idx.size == 0 or idx.min() < 0 or idx.max() >= tv.shape[0]:
         raise ContractError(f"indices out of range for table with {tv.shape[0]} rows")
 
+    shape = tv.shape
+
     def bw(g):
-        full = np.zeros_like(tv)
+        full = np.zeros(shape)
         np.add.at(full, idx, g)
         return (full,)
 
@@ -609,7 +623,8 @@ def cross_entropy(logits, targets):
         )
     if idx.min() < 0 or idx.max() >= full.shape[-1]:
         raise ContractError(f"target out of range for {full.shape[-1]} classes")
-    lv = full.reshape(-1, full.shape[-1])
+    shape = full.shape
+    lv = full.reshape(-1, shape[-1])
     idx = idx.reshape(-1)
     n = lv.shape[0]
     # one softmax serves both passes: the forward's log-sum-exp and the
@@ -624,7 +639,7 @@ def cross_entropy(logits, targets):
     def bw(g):
         dl = e / total
         dl[np.arange(n), idx] -= 1.0
-        return ((dl * (float(g) / n)).reshape(full.shape),)
+        return ((dl * (float(g) / n)).reshape(shape),)
 
     return _dispatch(out, (logits,), bw)
 
@@ -639,7 +654,12 @@ def backward(tape: Tape, loss: Var) -> None:
     """Populate .grad on every leaf of the tape from the scalar loss.
 
     A leaf the loss does not reach gets a zero gradient.  Every leaf gradient
-    is checked to be finite; op outputs get no ``.grad``.
+    is checked to be finite; op outputs get no ``.grad``.  The walk runs each
+    node's rule once, last node first, and then frees the rule, with the
+    arrays it captured, and the node's activation gradient.  So beyond the
+    leaves' gradients it holds the rules it has not reached yet and the
+    gradients still flowing into them, never the whole tape plus every
+    activation gradient.
     """
     if not isinstance(loss, Var) or loss.tape is not tape:
         raise ContractError("loss was not produced on this tape")
@@ -655,8 +675,14 @@ def backward(tape: Tape, loss: Var) -> None:
     nodes = tape._nodes
     for nid in range(loss.node_id, -1, -1):
         inputs, bw = nodes[nid]
-        g = grads[nid]
-        if g is None or bw is None:
+        if bw is None:  # a leaf: its gradient stays for the loop below
+            continue
+        # the walk never comes back to a node: without the tape's hold, its
+        # rule, with the arrays it captured, and its gradient are freed as
+        # soon as the rule has run
+        nodes[nid] = (inputs, None)
+        g, grads[nid] = grads[nid], None
+        if g is None:
             continue
         for iid, contrib in zip(inputs, bw(g)):
             if iid is None:

@@ -986,6 +986,24 @@ class TestGramTail:
         for g, ref in zip(grads, ref_grads):
             assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("rows, blocks", [(10, 1), (ROWS, 3)], ids=["one-block", "three-blocks"])
+    def test_backward_reuses_the_last_blocks_hidden(self, monkeypatch, rows, blocks):
+        # the node keeps the hidden of the block its forward computed last,
+        # so the backward recomputes every block's hidden but that one's
+        calls = []
+        hidden = attention._sigma1_hidden
+        monkeypatch.setattr(
+            attention, "_sigma1_hidden", lambda *args: calls.append(args[0].shape) or hidden(*args)
+        )
+        rng = np.random.default_rng(48)
+        tape = Tape()
+        q, k, v = (tape.leaf(rng.standard_normal(s)) for s in ((2, rows, 4), (2, 5, 4), (2, 5, 4)))
+        out = amlp_pquery_forward(AttentionInputs(q, k, v), pquery_params(rng, 2, 4))
+        assert len(calls) == blocks
+        backward(tape, sum_all(out))
+        assert len(calls) == 2 * blocks - 1
+        assert calls[blocks:] == calls[: blocks - 1]  # the backward walks the others in row order
+
     def test_finite_differences_across_blocks(self):
         # x = z P, so P's gradient carries x's from every block; the layer's
         # weights carry A's and B's, which the backward sums over the blocks

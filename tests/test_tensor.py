@@ -441,6 +441,27 @@ class TestBackward:
             gc.enable()
         np.testing.assert_array_equal(x.grad.data, np.full((3, 4), 4.0))
 
+    def test_backward_peak_does_not_grow_with_chain_length(self):
+        # each node's rule and gradient are freed once the rule has run, so
+        # the walk holds a few (64, 64) gradients at a time, not one per op
+        x0 = np.random.default_rng(6).standard_normal((64, 64))
+        extra = {}
+        for k in (4, 32):
+            tape = Tape()
+            y = x = tape.leaf(Tensor(x0))
+            for _ in range(k):
+                y = scale(y, 1.0)
+            loss = sum_all(y)
+            del y
+            tracemalloc.start()  # traces only what the backward allocates
+            try:
+                backward(tape, loss)
+                extra[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(x.grad.data, np.ones((64, 64)))
+        assert extra[32] <= extra[4] + 2 * x0.nbytes, extra
+
     def test_deterministic_across_fresh_tapes(self):
         def grads():
             rng = np.random.default_rng(5)
@@ -454,6 +475,40 @@ class TestBackward:
         ga1, gb1 = grads()
         ga2, gb2 = grads()
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
+
+
+# Per audited op, a loss over the op output x whose recorded rules read none
+# of x's elements (x feeds the op as an operand it needs only the shape of).
+_UNREAD_OPERAND_CASES = {
+    "add": lambda x: sum_all(add(x, Tensor(np.ones((4, 6))))),
+    "relu": lambda x: sum_all(relu(x)),
+    "layer_norm": lambda x: sum_all(layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))),
+    "sum_all": sum_all,
+    "cross_entropy": lambda x: cross_entropy(x, [0, 5, 2, 3]),
+    # scale keeps no operand, so only split_heads could keep x (its output is a view of x)
+    "split_heads": lambda x: sum_all(scale(split_heads(x, 2), 1.0)),
+    "gather_rows": lambda x: sum_all(gather_rows(x, [0, 2, 2])),
+}
+
+
+class TestTapeKeepsOnlyWhatRulesRead:
+    @pytest.mark.parametrize("op", sorted(_UNREAD_OPERAND_CASES))
+    def test_unread_operand_is_freed_when_the_caller_drops_it(self, op):
+        # reference counting alone frees x once the caller drops it: no
+        # backward rule on the tape holds its array
+        gc.disable()
+        try:
+            tape = Tape()
+            leaf = tape.leaf(Tensor(np.random.default_rng(8).standard_normal((4, 6))))
+            x = scale(leaf, 2.0)
+            data = weakref.ref(x.data)
+            loss = _UNREAD_OPERAND_CASES[op](x)
+            del x
+            assert data() is None
+            backward(tape, loss)
+        finally:
+            gc.enable()
+        assert leaf.grad.shape == (4, 6)
 
 
 def _probed(rng, op, *shapes, probe_shape):
