@@ -292,14 +292,9 @@ def mlp_forward(x, w1, w2):
     return matmul(relu(matmul(x, w1)), w2)
 
 
-def softmax_attention(inputs: AttentionInputs, scaled: bool = True):
-    """Quadratic reference attention; the oracle the efficient variants target.
-
-    With `scaled`, logits are multiplied by 1/sqrt(d).
-    """
-    logits = matmul(inputs.q, transpose(inputs.k))
-    if scaled:
-        logits = scale(logits, 1.0 / math.sqrt(inputs.d))
+def softmax_attention(inputs: AttentionInputs):
+    """softmax(Q K^T / sqrt(d)) V: the quadratic reference the efficient variants target."""
+    logits = scale(matmul(inputs.q, transpose(inputs.k)), 1.0 / math.sqrt(inputs.d))
     return matmul(softmax(logits), inputs.v)
 
 
@@ -488,7 +483,7 @@ def amlp_pquery_weights(inputs: AttentionInputs, params: AmlpPQueryParams):
     qhat = ema(inputs.q, params.beta)
     summary_q = matmul(softmax(matmul(params.c_q, transpose(qhat))), qhat)
     summary_k = matmul(softmax(matmul(params.c_k, transpose(inputs.k))), inputs.k)
-    lt = matmul(concat(summary_q, summary_k, axis=1), params.w)
+    lt = matmul(concat(summary_q, summary_k), params.w)
     w_qk = transpose(lt)
     w_qkv = matmul(softmax(matmul(lt, transpose(inputs.k))), inputs.v)
     return w_qk, w_qkv
@@ -522,7 +517,6 @@ class CausalCovState:
     """
 
     sums: Tensor
-    t: int = 0
 
     @property
     def s_q(self) -> Tensor:
@@ -540,7 +534,7 @@ class CausalCovState:
 def causal_amlp_cov_init(d: int) -> CausalCovState:
     if d < 1:
         raise ConfigError(f"width must be positive, got {d}")
-    return CausalCovState(sums=Tensor._wrap(np.zeros((3, d, d))), t=0)
+    return CausalCovState(sums=Tensor._wrap(np.zeros((3, d, d))))
 
 
 @_quiet
@@ -581,7 +575,7 @@ def causal_amlp_cov_step(
     e = sums - sums.max(axis=-2, keepdims=True)
     if not math.isfinite(_exp_flushed(e)):
         raise ContractError("causal state contains NaN or Inf")
-    new_state = CausalCovState(sums=Tensor._wrap(sums, finite=True), t=state.t + 1)
+    new_state = CausalCovState(sums=Tensor._wrap(sums, finite=True))
 
     r_q, r_k, r_z = e.sum(axis=-2)
     lt = (params.c_q.data / r_q) @ e[0].T + (params.c_k.data / r_k) @ e[1].T

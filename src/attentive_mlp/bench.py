@@ -147,7 +147,7 @@ def iqr_filter(samples) -> tuple[list, float]:
     return kept, sum(kept) / len(kept)
 
 
-def model_memory(arch: str, n: int, m: int, d: int, c: int, h: int, batch: int) -> int:
+def model_memory(arch: str, n: int, d: int, c: int, h: int, batch: int) -> int:
     """Closed-form peak activation element count for one simulated module.
 
     nar-softmax holds per-head n x n weights plus q/k/v and the output;
@@ -155,7 +155,7 @@ def model_memory(arch: str, n: int, m: int, d: int, c: int, h: int, batch: int) 
     the per-head n x c hidden, and q/k/v/out; ar-causal-softmax models
     incremental decoding: cached keys/values plus one attention row per head.
     """
-    for name, val in (("n", n), ("m", m), ("d", d), ("c", c), ("h", h), ("batch", batch)):
+    for name, val in (("n", n), ("d", d), ("c", c), ("h", h), ("batch", batch)):
         if val < 1:
             raise ContractError(f"{name} must be positive, got {val}")
     if arch == "nar-softmax":
@@ -289,9 +289,7 @@ def _input_bytes(config: BenchConfig, n: int) -> int:
 
 
 def _workload_bytes(config: BenchConfig, arch: str, n: int) -> int:
-    modeled = model_memory(
-        arch, n, n, config.d_model, config.c, config.heads, config.batch
-    )
+    modeled = model_memory(arch, n, config.d_model, config.c, config.heads, config.batch)
     return 8 * modeled + _input_bytes(config, n)
 
 
@@ -363,7 +361,7 @@ def _time_cells(arch: str, cells, refuse: str | None = None) -> list:
 
 def _record(config: BenchConfig, arch: str, n: int, samples) -> BenchRecord:
     """The CSV row of one grid cell; a cell without samples did not fit in memory."""
-    modeled = model_memory(arch, n, n, config.d_model, config.c, config.heads, config.batch)
+    modeled = model_memory(arch, n, config.d_model, config.c, config.heads, config.batch)
     if samples is None:
         kept, mean, peak = [], None, None
     else:

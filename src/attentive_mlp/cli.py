@@ -286,7 +286,7 @@ def _cmd_eval(s, parser) -> int:
         parser.error(f"eval_samples must be >= 1, got {s['eval_samples']}")
     model = load_checkpoint(s["ckpt"])
     if s["seed"] is None:
-        s["seed"] = model.config.seed  # the split `train` evaluates on
+        s["seed"] = model.config.seed  # the evaluation set `train` reports on
     cfg = dataclasses.replace(model.config, seed=s["seed"])  # NarConfig checks the seed
     _echo_config("eval", s)
     task = SyntheticTask(s["task"], vocab=cfg.vocab_size, length=cfg.seq_len, seed=s["seed"] + 1)

@@ -54,7 +54,6 @@ __all__ = [
 
 VARIANTS = ("cov", "pquery", "softmax")
 TASK_KINDS = ("copy", "reverse")
-SPLITS = ("train", "eval")  # the seeded streams of a SyntheticTask
 # the toy task and evaluation size the CLI and the inner-dimension sweep default to
 DEFAULT_TASK = "reverse"
 DEFAULT_EVAL_SAMPLES = 256
@@ -115,8 +114,8 @@ class NarConfig:
         for name in ("vocab_size", "seq_len", "source_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not math.isfinite(self.learning_rate):
-            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         _check_seed(self.seed)
 
 
@@ -125,8 +124,9 @@ class SyntheticTask:
     """Deterministic source-to-target mapping with a seeded sampler.
 
     kind "copy" maps a sequence to itself, "reverse" to its mirror image.
-    Sampling is reproducible per (seed, split): the same call returns the
-    same pairs, and train/eval splits never overlap streams.
+    Sampling is reproducible per seed: ``sample`` draws a fixed evaluation
+    set from the rng seeded [seed, 1], and ``stream`` fresh training batches
+    from the rng seeded [seed, 0, 1], so the two never share a stream.
     """
 
     kind: str
@@ -142,25 +142,23 @@ class SyntheticTask:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_seed(self.seed)
 
-    def _rng(self, split: str, count: int, *stream) -> np.random.Generator:
-        """The rng of one split's draws of ``count`` pairs; bad arguments raise here, at the call."""
+    def _rng(self, count: int, *key) -> np.random.Generator:
+        """The rng seeded [seed, *key] for ``count`` pairs; a bad count raises here, at the call."""
         if count < 1:
             raise ContractError(f"count must be >= 1, got {count}")
-        if split not in SPLITS:
-            raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
-        return np.random.default_rng([self.seed, SPLITS.index(split), *stream])
+        return np.random.default_rng([self.seed, *key])
 
     def _pairs(self, rng: np.random.Generator, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
         sources = rng.integers(0, self.vocab, size=(count, self.length))
         return [(s.copy(), s.copy() if self.kind == "copy" else s[::-1].copy()) for s in sources]
 
-    def sample(self, count: int, split: str = "eval") -> list[tuple[np.ndarray, np.ndarray]]:
-        """A fixed, reproducible set of (source, target) pairs."""
-        return self._pairs(self._rng(split, count), count)
+    def sample(self, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """A fixed, reproducible evaluation set of (source, target) pairs."""
+        return self._pairs(self._rng(count, 1), count)
 
-    def stream(self, batch_size: int, split: str = "train"):
-        """Endless fresh batches from a persistent rng; a bad split or size raises at the call."""
-        rng = self._rng(split, batch_size, 1)
+    def stream(self, batch_size: int):
+        """Endless fresh training batches from a persistent rng; a bad size raises at the call."""
+        rng = self._rng(batch_size, 0, 1)
         return (self._pairs(rng, batch_size) for _ in itertools.count())
 
 
@@ -318,15 +316,16 @@ class NarModel:
         return np.argmax(self.forward(source_tokens).data, axis=-1)
 
 
-def evaluate(model, task: SyntheticTask, num_samples: int, split: str = "eval") -> float:
+def evaluate(model, task: SyntheticTask, num_samples: int) -> float:
     """Fraction of positions where the model's decode matches the ground truth.
 
-    The split is decoded in batches of at most EVAL_BATCH sources, one
-    ``generate`` call each, so memory stays bounded for any sample count.
+    The task's evaluation set, ``task.sample(num_samples)``, is decoded in
+    batches of at most EVAL_BATCH sources, one ``generate`` call each, so
+    memory stays bounded for any sample count.
     """
     if num_samples < 1:
         raise ContractError(f"num_samples must be >= 1, got {num_samples}")
-    pairs = task.sample(num_samples, split=split)
+    pairs = task.sample(num_samples)
     correct = 0
     for lo in range(0, num_samples, EVAL_BATCH):
         chunk = pairs[lo : lo + EVAL_BATCH]
@@ -351,7 +350,7 @@ def train(
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
     losses: list[float] = []
-    batches = task.stream(batch_size, split="train")
+    batches = task.stream(batch_size)
     for step in range(1, steps + 1):
         try:
             losses.append(model.train_step(next(batches)))

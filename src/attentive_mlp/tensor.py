@@ -17,10 +17,10 @@ DimensionError.
 
 ``transpose`` and ``split_heads`` return read-only views of their operand,
 not copies: numpy hands transposed and strided operands straight to BLAS, so
-nothing is copied until an op has to compute.  ``concat`` joins any number of
-operands in one copy, ``merge_heads`` moves a head axis back into the feature
-axis in at most one, and ``stack`` joins operands of one shape along a new
-leading axis.
+nothing is copied until an op has to compute.  ``concat`` joins two
+operands along their columns in one copy, ``merge_heads`` moves a head axis
+back into the feature axis in at most one, and ``stack`` joins operands of
+one shape along a new leading axis.
 
 A Tape records, per node, its input ids and its backward rule.  Every leaf
 (``Tape.leaf``) gets a gradient; a constant is passed to an op as a plain
@@ -53,7 +53,6 @@ it (``_exp_flushed``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -443,32 +442,23 @@ def softmax(x):
     return _dispatch(y, (x,), lambda g: (_softmax_grad(y, g),), finite=True)
 
 
-def concat(*parts, axis: int):
-    """Concatenate any number of operands along axis 0 (rows) or 1 (columns) of their last two axes.
+def concat(a, b):
+    """Join two operands along the columns of their last two axes, in one copy.
 
     Batch axes broadcast: an operand with fewer of them is repeated for every
     batch entry.
     """
-    if not parts:
-        raise DimensionError("concat needs at least one operand")
-    vals = [_val(p) for p in parts]
-    _check_rank("concat", *vals)
-    if axis not in (0, 1):
-        raise DimensionError(f"concat axis must be 0 or 1, got {axis}")
-    ax, other = axis - 2, -1 - axis  # positions counted from the end
-    if len({v.shape[other] for v in vals}) > 1:
-        raise DimensionError(
-            f"concat along axis {axis} needs matching extent on axis {1 - axis}: {_shapes(vals)}"
-        )
-    lead = _batch_shape("concat", vals)
-    shapes = [v.shape for v in vals]
-    out = np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in vals], axis=ax)
-    splits = list(itertools.accumulate(v.shape[ax] for v in vals[:-1]))
-
-    def bw(g):
-        return tuple(_unbatch(gp, shape) for gp, shape in zip(np.split(g, splits, axis=ax), shapes))
-
-    return _dispatch(out, parts, bw, finite=True)
+    av, bv = _val(a), _val(b)
+    _check_rank("concat", av, bv)
+    if av.shape[-2] != bv.shape[-2]:
+        raise DimensionError(f"concat needs matching row counts: {_shapes((av, bv))}")
+    lead = _batch_shape("concat", (av, bv))
+    out = np.concatenate([np.broadcast_to(v, lead + v.shape[-2:]) for v in (av, bv)], axis=-1)
+    sa, sb = av.shape, bv.shape  # the rule reads only the shapes
+    cut = sa[-1]
+    return _dispatch(
+        out, (a, b), lambda g: (_unbatch(g[..., :cut], sa), _unbatch(g[..., cut:], sb)), finite=True
+    )
 
 
 def split_heads(x, heads: int):
@@ -545,8 +535,12 @@ def ema(x, beta: float):
     return _dispatch(out, (x,), bw)
 
 
+# added to each row's variance, so a constant row normalizes to 0
+_LN_EPS = 1e-5
+
+
 @_quiet
-def layer_norm(x, gain, bias, eps: float = 1e-5):
+def layer_norm(x, gain, bias):
     """Row-wise normalization of a rank-2 or rank-3 operand with learned gain and bias."""
     xv, gv, bv = _val(x), _val(gain), _val(bias)
     if xv.ndim not in (2, 3) or gv.shape != (xv.shape[-1],) or bv.shape != (xv.shape[-1],):
@@ -558,7 +552,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
     d = xv.shape[-1]
     xhat = xv - xv.mean(axis=-1, keepdims=True)
     var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
     out = xhat * gv
     out += bv

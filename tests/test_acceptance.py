@@ -315,8 +315,8 @@ def test_criterion_05_latency_scaling(bench_run):
 
 
 def test_criterion_06_memory_model(bench_run):
-    soft = model_memory("nar-softmax", 8192, 8192, 512, 64, 8, 1)
-    amlp = model_memory("nar-amlp", 8192, 8192, 512, 64, 8, 1)
+    soft = model_memory("nar-softmax", 8192, 512, 64, 8, 1)
+    amlp = model_memory("nar-amlp", 8192, 512, 64, 8, 1)
     ratio = amlp / soft
     agreement_ok = True
     checked = 0

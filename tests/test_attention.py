@@ -82,10 +82,8 @@ def sigma1_oracle(h, kind):
     return np.asarray(h)
 
 
-def softmax_attention_oracle(q, k, v, scaled):
-    logits = mm(q, tr(k))
-    if scaled:
-        logits = logits / math.sqrt(len(q[0]))
+def softmax_attention_oracle(q, k, v):
+    logits = mm(q, tr(k)) / math.sqrt(len(q[0]))
     return mm(softmax_rows_oracle(logits.tolist()), v)
 
 
@@ -203,20 +201,20 @@ class TestSoftmaxAttention:
         np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_two_key_example(self):
-        q = [[1.0, 0.0]]
+        # sqrt(2) in q cancels the 1/sqrt(d) scale, so the logits are 1 and 0
+        q = [[math.sqrt(2.0), 0.0]]
         k = [[1.0, 0.0], [0.0, 1.0]]
         v = [[1.0, 0.0], [0.0, 1.0]]
-        out = softmax_attention(AttentionInputs(Tensor(q), Tensor(k), Tensor(v)), scaled=False)
+        out = softmax_attention(AttentionInputs(Tensor(q), Tensor(k), Tensor(v)))
         e = math.exp(1.0)
         np.testing.assert_allclose(out.data, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
         np.testing.assert_allclose(out.data, [[0.73106, 0.26894]], atol=1e-5)
 
-    def test_matches_oracle_scaled_and_unscaled(self):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(5)
         q, k, v = rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-        for scaled in (True, False):
-            out = softmax_attention(AttentionInputs(Tensor(q), Tensor(k), Tensor(v)), scaled=scaled)
-            np.testing.assert_allclose(out.data, softmax_attention_oracle(q, k, v, scaled), atol=1e-12)
+        out = softmax_attention(AttentionInputs(Tensor(q), Tensor(k), Tensor(v)))
+        np.testing.assert_allclose(out.data, softmax_attention_oracle(q, k, v), atol=1e-12)
 
     def test_mismatched_widths_rejected(self):
         with pytest.raises(DimensionError):
@@ -562,7 +560,6 @@ class TestAmlpPQuery:
 class TestCausalCov:
     def test_init_state_is_zero(self):
         s = causal_amlp_cov_init(4)
-        assert s.t == 0
         for field in (s.s_q, s.s_k, s.z):
             np.testing.assert_array_equal(field.data, np.zeros((4, 4)))
 
@@ -574,7 +571,6 @@ class TestCausalCov:
         _, s = causal_amlp_cov_step(causal_amlp_cov_init(d), Tensor(e1), Tensor(e1), Tensor(e1), params)
         expected = np.zeros((d, d))
         expected[0, 0] = 1.0
-        assert s.t == 1
         for field in (s.s_q, s.s_k, s.z):
             np.testing.assert_array_equal(field.data, expected)
 

@@ -69,61 +69,60 @@ class TestIqrFilter:
 class TestMemoryModel:
     def test_formula_at_minimal_length(self):
         # direct substitution of the documented expressions at n = 1
-        assert model_memory("nar-softmax", 1, 1, 512, 64, 8, 3) == 3 * (8 + 3 * 512 + 512)
+        assert model_memory("nar-softmax", 1, 512, 64, 8, 3) == 3 * (8 + 3 * 512 + 512)
         dh = 512 // 8
-        assert model_memory("nar-amlp", 1, 1, 512, 64, 8, 3) == 3 * (
+        assert model_memory("nar-amlp", 1, 512, 64, 8, 3) == 3 * (
             2 * dh * dh * 8 + 2 * 64 * 512 + 64 * 8 + 4 * 512
         )
-        assert model_memory("ar-causal-softmax", 1, 1, 512, 64, 8, 3) == 3 * (2 * 512 + 8)
+        assert model_memory("ar-causal-softmax", 1, 512, 64, 8, 3) == 3 * (2 * 512 + 8)
 
     def test_headline_ratio(self):
-        soft = model_memory("nar-softmax", 8192, 8192, 512, 64, 8, 1)
-        amlp = model_memory("nar-amlp", 8192, 8192, 512, 64, 8, 1)
+        soft = model_memory("nar-softmax", 8192, 512, 64, 8, 1)
+        amlp = model_memory("nar-amlp", 8192, 512, 64, 8, 1)
         assert amlp / soft <= 0.12
 
     def test_doubling_length(self):
         for batch in (1, 12):
-            soft1 = model_memory("nar-softmax", 4096, 4096, 512, 64, 8, batch)
-            soft2 = model_memory("nar-softmax", 8192, 8192, 512, 64, 8, batch)
+            soft1 = model_memory("nar-softmax", 4096, 512, 64, 8, batch)
+            soft2 = model_memory("nar-softmax", 8192, 512, 64, 8, batch)
             assert soft2 >= 2 * soft1
-            amlp1 = model_memory("nar-amlp", 4096, 4096, 512, 64, 8, batch)
-            amlp2 = model_memory("nar-amlp", 8192, 8192, 512, 64, 8, batch)
+            amlp1 = model_memory("nar-amlp", 4096, 512, 64, 8, batch)
+            amlp2 = model_memory("nar-amlp", 8192, 512, 64, 8, batch)
             assert amlp2 < 2.1 * amlp1
 
     def test_unknown_architecture(self):
         with pytest.raises(ConfigError):
-            model_memory("nar-linear", 8, 8, 8, 2, 2, 1)
+            model_memory("nar-linear", 8, 8, 2, 2, 1)
 
     def test_positive_arguments_required(self):
         with pytest.raises(ContractError):
-            model_memory("nar-softmax", 0, 8, 8, 2, 2, 1)
+            model_memory("nar-softmax", 0, 8, 2, 2, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(ARCHITECTURES),
         st.integers(1, 2048),
-        st.integers(1, 2048),
         st.integers(1, 6),
         st.integers(1, 6),
-        st.integers(0, 5),
+        st.integers(0, 4),
     )
-    def test_monotone_in_every_argument(self, arch, n, m, hmul, c, arg):
+    def test_monotone_in_every_argument(self, arch, n, hmul, c, arg):
         h = hmul
         d = h * 8
         c = min(c, 8)
-        args = [n, m, d, c, h, 2]
+        args = [n, d, c, h, 2]
         base = model_memory(arch, *args)
         bumped = list(args)
-        if arg == 2:  # widen d by one head-width so h still divides it
-            bumped[2] += h
-        elif arg == 4:  # adding a head needs d divisible by both
+        if arg == 1:  # widen d by one head-width so h still divides it
+            bumped[1] += h
+        elif arg == 3:  # adding a head needs d divisible by both
             if arch == "nar-amlp":
                 # genuinely non-monotone in h at fixed d: the per-head
                 # covariance term is 2*d*d/h (see the dedicated test below)
                 return
-            bumped[4] = h * 2
-            bumped[2] = d * 2
-            base = model_memory(arch, n, m, d * 2, c, h, 2)
+            bumped[3] = h * 2
+            bumped[1] = d * 2
+            base = model_memory(arch, n, d * 2, c, h, 2)
         else:
             bumped[arg] += 1
         assert model_memory(arch, *bumped) >= base
@@ -132,11 +131,11 @@ class TestMemoryModel:
         # at fixed width, more heads shrink the (d/h)^2-per-head covariance
         # summaries but grow the n*c*h hidden term: memory falls with h for
         # short sequences and rises with h once n*c dominates
-        short_1h = model_memory("nar-amlp", 1, 1, 16, 1, 1, 2)
-        short_2h = model_memory("nar-amlp", 1, 1, 16, 1, 2, 2)
+        short_1h = model_memory("nar-amlp", 1, 16, 1, 1, 2)
+        short_2h = model_memory("nar-amlp", 1, 16, 1, 2, 2)
         assert short_2h < short_1h
-        long_1h = model_memory("nar-amlp", 4096, 4096, 16, 1, 1, 2)
-        long_2h = model_memory("nar-amlp", 4096, 4096, 16, 1, 2, 2)
+        long_1h = model_memory("nar-amlp", 4096, 16, 1, 1, 2)
+        long_2h = model_memory("nar-amlp", 4096, 16, 1, 2, 2)
         assert long_2h > long_1h
 
 
@@ -219,8 +218,7 @@ class TestBenchRunsLibrary:
         )
         for t in range(1, 8):
             lib = softmax_attention(
-                AttentionInputs(Tensor(q[0, t - 1 : t]), Tensor(k[0, :t]), Tensor(v[0, :t])),
-                scaled=True,
+                AttentionInputs(Tensor(q[0, t - 1 : t]), Tensor(k[0, :t]), Tensor(v[0, :t]))
             )
             np.testing.assert_allclose(out[0, t - 1], lib.data[0], atol=1e-13)
 

@@ -338,6 +338,7 @@ class TestSettings:
             ("train", {"len": "0"}),
             ("train", {"vocab": "0"}),
             ("train", {"lr": "nan"}),
+            ("train", {"lr": "-0.5"}),
             ("train", {"steps": "-1"}),
             ("train", {"seed": "-1"}),
             ("bench", {"seed": "-1"}),
@@ -350,7 +351,7 @@ class TestSettings:
             ("bench", {"batch": "0"}),
         ],
         ids=["bench-sigma1", "bench-arch-empty", "sweep-c-empty", "train-sigma1", "beta", "len",
-             "vocab", "lr", "train-steps", "train-seed", "bench-seed", "sweep-seed", "eval-seed",
+             "vocab", "lr", "lr-negative", "train-steps", "train-seed", "bench-seed", "sweep-seed", "eval-seed",
              "eval-seed-2", "verify-seed", "sweep-n", "bench-warmup", "bench-batch"],
     )
     def test_bad_setting_is_one_line_usage_error(self, command, bad, source, tmp_path, capsys):

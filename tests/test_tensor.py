@@ -298,12 +298,12 @@ class TestElementwiseAndShape:
         np.testing.assert_array_equal(transpose(transpose(Tensor(m))).data, m)
 
     def test_concat_columns(self):
-        out = concat(Tensor([[1.0]]), Tensor([[2.0]]), axis=1)
+        out = concat(Tensor([[1.0]]), Tensor([[2.0]]))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0]])
 
     def test_concat_extent_mismatch(self):
         with pytest.raises(DimensionError):
-            concat(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))), axis=1)
+            concat(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
 
     def test_add_shape_check(self):
         with pytest.raises(DimensionError):
@@ -540,7 +540,7 @@ def _grad_case(name, rng):
     if name == "transpose":
         return _probed(rng, transpose, (4, 5), probe_shape=(5, 4))
     if name == "concat":
-        return _probed(rng, lambda a, b: concat(a, b, axis=1), (3, 4), (3, 3), probe_shape=(3, 7))
+        return _probed(rng, concat, (3, 4), (3, 3), probe_shape=(3, 7))
     if name == "split_heads":
         return _probed(rng, lambda a: split_heads(a, 2), (4, 6), probe_shape=(2, 4, 3))
     if name == "merge_heads":
@@ -607,14 +607,8 @@ BATCHED_CASES = {
     "mul_param": (mul, [(2, 4, 3), (4, 3)], (2, 4, 3)),
     "add_bias": (add_bias, [(2, 4, 3), (3,)], (2, 4, 3)),
     "softmax": (softmax, [(2, 5, 7)], (2, 5, 7)),
-    "concat_cols": (lambda a, b: concat(a, b, axis=1), [(2, 3, 4), (2, 3, 2)], (2, 3, 6)),
-    "concat_rows": (lambda a, b: concat(a, b, axis=0), [(2, 3, 4), (2, 2, 4)], (2, 5, 4)),
-    "concat_param": (lambda a, b: concat(a, b, axis=1), [(3, 4), (2, 3, 2)], (2, 3, 6)),
-    "concat_three": (
-        lambda a, b, c: concat(a, b, c, axis=1),
-        [(2, 3, 4), (3, 2), (2, 3, 5)],
-        (2, 3, 11),
-    ),
+    "concat_cols": (concat, [(2, 3, 4), (2, 3, 2)], (2, 3, 6)),
+    "concat_param": (concat, [(3, 4), (2, 3, 2)], (2, 3, 6)),
     "ema": (lambda a: ema(a, 0.6), [(2, 6, 3)], (2, 6, 3)),
     "layer_norm": (layer_norm, [(2, 4, 5), (5,), (5,)], (2, 4, 5)),
     "gather_rows": (lambda t: gather_rows(t, [[0, 2, 2, 1], [4, 3, 0, 0]]), [(5, 3)], (2, 4, 3)),
@@ -631,11 +625,7 @@ BATCHED_CASES = {
     "transpose_rank4": (transpose, [(2, 3, 4, 5)], (2, 3, 5, 4)),
     "softmax_rank4": (softmax, [(2, 3, 2, 5)], (2, 3, 2, 5)),
     "ema_rank4": (lambda a: ema(a, 0.6), [(2, 2, 5, 3)], (2, 2, 5, 3)),
-    "concat_extent_one": (
-        lambda a, b: concat(a, b, axis=1),
-        [(2, 1, 3, 4), (3, 3, 2)],
-        (2, 3, 3, 6),
-    ),
+    "concat_extent_one": (concat, [(2, 1, 3, 4), (3, 3, 2)], (2, 3, 3, 6)),
 }
 
 
@@ -698,7 +688,7 @@ class TestBatchedOpGradients:
             matmul,
             add,
             mul,
-            lambda a, b: concat(a, b, axis=1),
+            concat,
         ],
         ids=["matmul", "add", "mul", "concat"],
     )
@@ -712,7 +702,7 @@ class TestBatchedOpGradients:
             matmul,
             add,
             mul,
-            lambda a, b: concat(a, b, axis=1),
+            concat,
         ],
         ids=["matmul", "add", "mul", "concat"],
     )
@@ -754,9 +744,9 @@ class TestLayoutViews:
         with pytest.raises(ValueError):
             data[(0,) * data.ndim] = 1.0
 
-    def test_concat_of_three_joins_in_order(self):
-        parts = [np.full((2, k), float(k)) for k in (1, 2, 3)]
-        out = concat(*(Tensor(p) for p in parts), axis=1)
+    def test_concat_joins_in_order(self):
+        parts = [np.full((2, k), float(k)) for k in (1, 2)]
+        out = concat(*(Tensor(p) for p in parts))
         np.testing.assert_array_equal(out.data, np.concatenate(parts, axis=1))
         assert not any(np.shares_memory(out.data, p) for p in parts)
 
@@ -784,10 +774,6 @@ class TestLayoutViews:
     def test_head_layout_shape_errors(self, op, shape):
         with pytest.raises(DimensionError):
             op(Tensor(np.zeros(shape)))
-
-    def test_concat_of_three_extent_mismatch(self):
-        with pytest.raises(DimensionError):
-            concat(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 1))), Tensor(np.zeros((3, 1))), axis=1)
 
 
 def _matmul_wrong_grad(a, b):
