@@ -305,6 +305,19 @@ class TestElementwiseAndShape:
         with pytest.raises(DimensionError):
             concat(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
 
+    def test_concat_batch_axes_that_do_not_broadcast(self):
+        with pytest.raises(DimensionError):
+            concat(Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((4, 3, 1))))
+
+    def test_layer_norm_constant_row_is_the_bias(self):
+        # a constant row has variance 0; the fixed epsilon keeps the divisor
+        # positive, so the centred row stays 0 and no warning is raised
+        bias = np.array([0.5, -1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = layer_norm(Tensor(np.full((2, 3), 4.0)), Tensor(np.ones(3)), Tensor(bias))
+        np.testing.assert_array_equal(out.data, np.tile(bias, (2, 1)))
+
     def test_add_shape_check(self):
         with pytest.raises(DimensionError):
             add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
@@ -609,6 +622,7 @@ BATCHED_CASES = {
     "softmax": (softmax, [(2, 5, 7)], (2, 5, 7)),
     "concat_cols": (concat, [(2, 3, 4), (2, 3, 2)], (2, 3, 6)),
     "concat_param": (concat, [(3, 4), (2, 3, 2)], (2, 3, 6)),
+    "concat_param_right": (concat, [(2, 3, 4), (3, 2)], (2, 3, 6)),
     "ema": (lambda a: ema(a, 0.6), [(2, 6, 3)], (2, 6, 3)),
     "layer_norm": (layer_norm, [(2, 4, 5), (5,), (5,)], (2, 4, 5)),
     "gather_rows": (lambda t: gather_rows(t, [[0, 2, 2, 1], [4, 3, 0, 0]]), [(5, 3)], (2, 4, 3)),
