@@ -10,12 +10,13 @@ runs in its Gram order: one X^T X per input replaces the Q/K/V/output
 projections (see ``multi_head_forward``).
 
 All forwards are pure functions; anything fed Vars is recorded on their tape
-and differentiable.  The non-causal forwards take rank-2 activations with up
-to two leading batch axes (a batch of sources, a head axis, or both) that
-they pass through unchanged: each batch entry gets its own second-moment
-summaries.  Batch axes broadcast as numpy's do, so an operand with fewer of
-them (such as a query block shared by every source in a batch, or one head's
-parameters) is shared by every batch entry.
+and differentiable, except the causal step, which is forward-only and raises
+ContractError when fed a Var.  The non-causal forwards take rank-2
+activations with up to two leading batch axes (a batch of sources, a head
+axis, or both) that they pass through unchanged: each batch entry gets its
+own second-moment summaries.  Batch axes broadcast as numpy's do, so an
+operand with fewer of them (such as a query block shared by every source in
+a batch, or one head's parameters) is shared by every batch entry.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
+    Var,
     _batch_shape,
     _check_finite,
     _dispatch,
@@ -508,33 +510,45 @@ def amlp_pquery_forward(inputs: AttentionInputs, params: AmlpPQueryParams):
 class CausalCovState:
     """Running second-moment sums over the tokens consumed so far.
 
-    ``sums`` is one (3, d, d) Tensor stacking the transposes of s_q, s_k and
-    z, so each row of those sums is a contiguous column of ``sums``: s_q and
-    s_k accumulate outer products of the query/key rows (symmetric PSD by
-    construction), z accumulates key-value outer products.  The properties
+    ``sums`` is one d x 3d Tensor holding the transposes of s_q, s_k and z
+    side by side, [s_q^T | s_k^T | z^T]: each row of a sum is a column of
+    ``sums``, and row i of ``sums`` holds column i of all three in one
+    contiguous stretch.  s_q and s_k accumulate outer products of the
+    query/key rows (symmetric PSD by construction), z accumulates key-value
+    outer products.  The properties
     s_q, s_k and z are read-only (d, d) views of it, transposed back.
-    Updated functionally: each step returns a new state.
+    Updated functionally: each step returns a new state.  Raises
+    DimensionError unless ``sums`` is d x 3d with d >= 1.
     """
 
     sums: Tensor
 
+    def __post_init__(self):
+        shape = self.sums.shape
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != 3 * shape[0]:
+            raise DimensionError(f"causal state sums must be d x 3d with d >= 1, got {shape}")
+
+    def _sum(self, i: int) -> Tensor:
+        d = self.sums.shape[0]
+        return Tensor._wrap(self.sums.data[:, i * d : (i + 1) * d].T, finite=True)
+
     @property
     def s_q(self) -> Tensor:
-        return Tensor._wrap(self.sums.data[0].T, finite=True)
+        return self._sum(0)
 
     @property
     def s_k(self) -> Tensor:
-        return Tensor._wrap(self.sums.data[1].T, finite=True)
+        return self._sum(1)
 
     @property
     def z(self) -> Tensor:
-        return Tensor._wrap(self.sums.data[2].T, finite=True)
+        return self._sum(2)
 
 
 def causal_amlp_cov_init(d: int) -> CausalCovState:
     if d < 1:
         raise ConfigError(f"width must be positive, got {d}")
-    return CausalCovState(sums=Tensor._wrap(np.zeros((3, d, d))))
+    return CausalCovState(sums=Tensor._wrap(np.zeros((d, 3 * d))))
 
 
 @_quiet
@@ -545,44 +559,54 @@ def causal_amlp_cov_step(
 
     The accumulated sums make each output equal the corresponding row of the
     non-causal covariance forward applied to the prefix seen so far.  Per-step
-    work is independent of how many tokens came before: one product adds
-    q^T q, k^T k and k^T v to the stacked sums (3d^2 MACs), and the row
-    softmaxes of all three take six to nine elementwise passes over 3d^2
-    entries (add, max, shift, min, exp and sum, plus the mask, clamp and
-    zeroing of the flush once some entry is below it).  With E the flushed
-    exps of a sum's max-shifted rows and r their row sums, each 1/r is
-    folded into a c x d or 1 x d factor, never applied to the d x d exps:
-    L = (c_q / r_Q) E_Q + (c_k / r_K) E_K (2cd^2 MACs), the hidden row
-    q L^T and the product hidden L (2cd MACs), and the output
-    (hidden L / r_z) E_z (d^2 MACs).
+    work is independent of how many tokens came before.  One product of the
+    d x 3 columns (q, k, v)^T by a 3 x 3d block diagonal of (q, k, k) adds
+    q^T q, k^T k and k^T v to the d x 3d sums (9d^2 MACs, 3d^2 of them
+    useful).  The row softmaxes of all three sums are five to eight
+    elementwise passes over the 3d^2 entries (add, max, shift, min and exp,
+    plus the mask, clamp and zeroing of the flush once some entry is below
+    it) and one product for the row sums r, ones(d) E (3d^2 MACs), where E
+    are the flushed exps of the max-shifted sums.  Each 1/r is folded into a
+    c x 2d or d-vector factor, never applied to the exps:
+    L^T = E_QK ([c_q | c_k] / r_QK)^T is one product over the d x 2d view
+    E_QK (2cd^2 MACs), the hidden row sigma1(q L^T) and the row hidden L
+    take 2cd, and the output E_z (hidden L / r_z) d^2.
 
-    Raises ContractError when the new sums, or the max-shift of one of their
-    rows, are not finite.
+    Forward-only: raises ContractError when an operand is a Var, since the
+    step records nothing on a tape.  Raises ContractError when the new sums,
+    or the max-shift of one of their rows, are not finite.
     """
+    if any(isinstance(x, Var) for x in (q_t, k_t, v_t, params.c_q, params.c_k, state.sums)):
+        raise ContractError("causal_amlp_cov_step is forward-only: pass Tensors, not Vars")
     qv, kv, vv = q_t.data, k_t.data, v_t.data
-    d = state.sums.shape[-1]
+    d = state.sums.shape[0]
     for name, a in (("q_t", qv), ("k_t", kv), ("v_t", vv)):
         if a.shape != (1, d):
             raise DimensionError(f"{name} must be 1 x {d}, got {a.shape}")
     params._check_width(d)
 
-    # a product with one term is exact, so this equals the running sums of
-    # q^T q, k^T k and k^T v (transposed) bit for bit
-    sums = np.einsum("bi,bj->bij", np.concatenate((qv, kv, vv)), np.concatenate((qv, kv, kv)))
+    # every cross-block term of the product is a product with an exact 0,
+    # so this equals the running sums of q^T q, k^T k and k^T v (transposed)
+    # bit for bit
+    blocks = np.zeros((3, 3 * d))
+    blocks[0, :d], blocks[1, d : 2 * d], blocks[2, 2 * d :] = qv, kv, kv
+    sums = np.concatenate((qv, kv, vv)).T @ blocks
     sums += state.sums.data
     # a NaN or Inf in sums leaves a NaN or -Inf in its column's shifted
     # logits, so the finite minimum the flush takes proves the state finite
-    e = sums - sums.max(axis=-2, keepdims=True)
+    e = sums - sums.max(axis=0)
     if not math.isfinite(_exp_flushed(e)):
         raise ContractError("causal state contains NaN or Inf")
     new_state = CausalCovState(sums=Tensor._wrap(sums, finite=True))
 
-    r_q, r_k, r_z = e.sum(axis=-2)
-    lt = (params.c_q.data / r_q) @ e[0].T + (params.c_k.data / r_k) @ e[1].T
-    hidden = qv @ lt.T
+    r = np.ones(d) @ e
+    c_qk = np.concatenate((params.c_q.data, params.c_k.data), axis=1)
+    c_qk /= r[: 2 * d]
+    l_t = e[:, : 2 * d] @ c_qk.T
+    hidden = qv @ l_t
     _sigma1(params.sigma1, hidden)
-    out = ((hidden @ lt) / r_z) @ e[2].T
-    return Tensor._wrap(out), new_state
+    out = e[:, 2 * d :] @ ((hidden @ l_t.T)[0] / r[2 * d :])
+    return Tensor._wrap(out.reshape(1, d)), new_state
 
 
 # ---------------------------------------------------------------------------

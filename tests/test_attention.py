@@ -674,9 +674,10 @@ class TestCausalCov:
     @pytest.mark.parametrize("sigma1", ["softmax", "relu", "identity"])
     def test_step_bit_identical_to_row_softmax_restatement(self, sigma1):
         # the step's arithmetic, restated in its order of operations: the row
-        # softmaxes of S_Q, S_K and z reduce along the columns of their stacked
-        # transposes, shifted logits below -700 are flushed to 0, and each
-        # 1/rowsum is folded into c_q, c_k or the hidden row
+        # softmaxes of S_Q, S_K and z reduce along the columns of their
+        # transposes side by side, shifted logits below -700 are flushed to 0,
+        # the row sums are one product with a ones vector, and each 1/rowsum
+        # is folded into [c_q | c_k] or the hidden row
         def softmax_rows(a):
             e = np.exp(a - a.max(axis=-1, keepdims=True))
             return e / e.sum(axis=-1, keepdims=True)
@@ -684,7 +685,7 @@ class TestCausalCov:
         rng = np.random.default_rng(33)
         d, c, n = 6, 3, 24
         params = cov_params(rng, c, d, sigma1=sigma1)
-        cq, ck = params.c_q.data, params.c_k.data
+        c_qk = np.concatenate((params.c_q.data, params.c_k.data), axis=1)
         q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
         state = causal_amlp_cov_init(d)
         s_q = s_k = z = np.zeros((d, d))
@@ -692,18 +693,20 @@ class TestCausalCov:
             qt, kt, vt = q[t : t + 1], k[t : t + 1], v[t : t + 1]
             out_t, state = causal_amlp_cov_step(state, Tensor(qt), Tensor(kt), Tensor(vt), params)
             s_q, s_k, z = s_q + qt.T @ qt, s_k + kt.T @ kt, z + kt.T @ vt
-            stacked = np.array((s_q.T, s_k.T, z.T))  # C-ordered, as the state
-            shifted = stacked - stacked.max(axis=-2, keepdims=True)
+            # [S_Q^T | S_K^T | z^T], C-ordered, as the state
+            sums = np.ascontiguousarray(np.concatenate((s_q, s_k, z)).T)
+            shifted = sums - sums.max(axis=0)
             e = np.exp(np.maximum(shifted, -700.0))
             e[shifted < -700.0] = 0.0
-            r_q, r_k, r_z = e.sum(axis=-2)
-            lt = (cq / r_q) @ e[0].T + (ck / r_k) @ e[1].T
-            hidden = qt @ lt.T
+            r = np.ones(d) @ e
+            l_t = e[:, : 2 * d] @ (c_qk / r[: 2 * d]).T
+            hidden = qt @ l_t
             if sigma1 == "softmax":
                 hidden = softmax_rows(hidden)
             elif sigma1 == "relu":
                 hidden = np.maximum(hidden, 0.0)
-            assert np.array_equal(out_t.data, ((hidden @ lt) / r_z) @ e[2].T), t
+            want = e[:, 2 * d :] @ ((hidden @ l_t.T)[0] / r[2 * d :])
+            assert np.array_equal(out_t.data, want.reshape(1, d)), t
 
     @pytest.mark.parametrize(
         "call",
@@ -732,6 +735,47 @@ class TestCausalCov:
                 Tensor(np.zeros((1, 5))),
                 params,
             )
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4), (4, 13)])
+    def test_state_must_be_d_by_3d(self, shape):
+        with pytest.raises(DimensionError, match="causal state sums must be d x 3d"):
+            attention.CausalCovState(sums=Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("operand", ["q_t", "k_t", "v_t", "c_q", "c_k"])
+    def test_step_is_forward_only(self, operand):
+        # a Var would leave the tape without a node and its gradient without
+        # the causal path, so the step refuses it
+        rng = np.random.default_rng(39)
+        d = 4
+        shapes = {"q_t": (1, d), "k_t": (1, d), "v_t": (1, d), "c_q": (2, d), "c_k": (2, d)}
+        args = {name: Tensor(rng.standard_normal(shape)) for name, shape in shapes.items()}
+        args[operand] = Tape().leaf(args[operand])
+        params = AmlpCovParams(args.pop("c_q"), args.pop("c_k"))
+        with pytest.raises(ContractError, match="forward-only"):
+            causal_amlp_cov_step(causal_amlp_cov_init(d), params=params, **args)
+
+    def test_prefix_equivalence_at_decode_width(self):
+        # the causal-decode width, d 64 and c 16: from token 551 on, some
+        # shifted S_Q logits are below -700, so rows 610 and 700 are stepped
+        # with the flush on
+        rng = np.random.default_rng(40)
+        n, d, c = 700, 64, 16
+        q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+        params = cov_params(rng, c, d, sigma1="relu")
+        state = causal_amlp_cov_init(d)
+        rows = []
+        for t in range(n):
+            out_t, state = causal_amlp_cov_step(
+                state, Tensor(q[t : t + 1]), Tensor(k[t : t + 1]), Tensor(v[t : t + 1]), params
+            )
+            rows.append(out_t.data[0])
+        s_q = state.s_q.data
+        assert (s_q - s_q.max(axis=-1, keepdims=True)).min() < -700.0
+        for t in (1, 260, 610, n):
+            prefix = amlp_cov_forward(
+                AttentionInputs(Tensor(q[:t]), Tensor(k[:t]), Tensor(v[:t])), params
+            )
+            np.testing.assert_allclose(rows[t - 1], prefix.data[t - 1], atol=1e-10)
 
 
 class TestMultiHead:
