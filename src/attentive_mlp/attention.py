@@ -546,8 +546,8 @@ class CausalCovState:
 
 
 def causal_amlp_cov_init(d: int) -> CausalCovState:
-    if d < 1:
-        raise ConfigError(f"width must be positive, got {d}")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ConfigError(f"width must be a positive int, got {d!r}")
     return CausalCovState(sums=Tensor._wrap(np.zeros((d, 3 * d))))
 
 

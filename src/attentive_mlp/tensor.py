@@ -121,14 +121,14 @@ class Tensor:
         self.data = arr
 
     @classmethod
-    @_quiet
     def _wrap(cls, arr: np.ndarray, finite: bool = False) -> "Tensor":
         """Adopt a freshly computed float64 array without copying.
 
         ``finite`` says the elements are already known to be finite, so only
-        the dtype, rank and extents are checked.
+        the dtype, rank and extents are checked; that does no arithmetic, so
+        it runs outside ``_quiet`` (entering it costs about 1 us).
         """
-        return _adopt(arr, finite)
+        return _adopt(arr, True) if finite else _adopt_checked(arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -157,6 +157,9 @@ def _adopt(arr: np.ndarray, finite: bool = False, cls: type = Tensor) -> Tensor:
     obj = object.__new__(cls)
     obj.data = arr
     return obj
+
+
+_adopt_checked = _quiet(_adopt)
 
 
 def _check_array(arr: np.ndarray, finite: bool = False) -> None:
@@ -323,9 +326,14 @@ def matmul(a, b):
         raise _no_broadcast("matmul", (av, bv)) from None
 
     def bw(g):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        gb = np.swapaxes(av, -1, -2) @ g
-        return (_unbatch(ga, av.shape), _unbatch(gb, bv.shape))
+        ga = g @ bv.swapaxes(-1, -2)
+        if bv.ndim == 2:
+            # a matrix shared by every batch entry: one product over all rows
+            # of the batch, not one per entry and a sum over the batch axes
+            gb = av.reshape(-1, av.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _unbatch(av.swapaxes(-1, -2) @ g, bv.shape)
+        return (_unbatch(ga, av.shape), gb)
 
     return _dispatch(out, (a, b), bw)
 
@@ -334,8 +342,8 @@ def transpose(a):
     """Swap the last two axes; returns a read-only view."""
     av = _val(a)
     _check_rank("transpose", av)
-    out = np.swapaxes(av, -1, -2)
-    return _dispatch(out, (a,), lambda g: (np.swapaxes(g, -1, -2),), finite=True)
+    out = av.swapaxes(-1, -2)
+    return _dispatch(out, (a,), lambda g: (g.swapaxes(-1, -2),), finite=True)
 
 
 def _elementwise(op, fn, av, bv):
@@ -417,11 +425,32 @@ def _exp_flushed(e: np.ndarray) -> float:
     return low
 
 
+# Rows at most this wide take their maximum from a transposed copy.
+_NARROW_ROWS = 32
+
+
+def _row_max(xv: np.ndarray) -> np.ndarray:
+    """The maximum of each last-axis row, with the last axis kept as extent 1.
+
+    numpy reduces narrow rows slowly along the last axis (17.5 us for 512
+    rows of 16), so rows at most ``_NARROW_ROWS`` wide are copied transposed
+    and reduced along the first axis, elementwise across rows (5.6 us with
+    the copy; the two break even at width 64).  A maximum is exact in any
+    order, so both give the same bits.
+    """
+    width = xv.shape[-1]
+    if width > _NARROW_ROWS:
+        return xv.max(axis=-1, keepdims=True)
+    cols = np.ascontiguousarray(xv.reshape(-1, width).T)
+    return cols.max(axis=0).reshape(*xv.shape[:-1], 1)
+
+
 def _softmax_last(xv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # max-subtraction keeps exp in range for any finite input; every step
     # after it works in place, so the result is the only array allocated,
-    # and none is when ``out`` is given (it may be xv itself)
-    e = np.subtract(xv, xv.max(axis=-1, keepdims=True), out=out)
+    # beside a transposed copy for narrow rows' maxima, and none is when
+    # ``out`` is given (it may be xv itself)
+    e = np.subtract(xv, _row_max(xv), out=out)
     _exp_flushed(e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -472,8 +501,8 @@ def split_heads(x, heads: int):
         raise DimensionError(f"cannot split shape {xv.shape} into {heads} heads")
     shape = xv.shape
     *lead, n, width = shape
-    out = np.swapaxes(xv.reshape(*lead, n, heads, width // heads), -3, -2)
-    return _dispatch(out, (x,), lambda g: (np.swapaxes(g, -3, -2).reshape(shape),), finite=True)
+    out = xv.reshape(*lead, n, heads, width // heads).swapaxes(-3, -2)
+    return _dispatch(out, (x,), lambda g: (g.swapaxes(-3, -2).reshape(shape),), finite=True)
 
 
 def merge_heads(x):
@@ -482,9 +511,9 @@ def merge_heads(x):
     if xv.ndim < 3:
         raise DimensionError(f"merge_heads needs a head axis: rank 3 or 4, got shape {xv.shape}")
     *lead, heads, n, dh = xv.shape
-    out = np.swapaxes(xv, -3, -2).reshape(*lead, n, heads * dh)
+    out = xv.swapaxes(-3, -2).reshape(*lead, n, heads * dh)
     return _dispatch(
-        out, (x,), lambda g: (np.swapaxes(g.reshape(*lead, n, heads, dh), -3, -2),), finite=True
+        out, (x,), lambda g: (g.reshape(*lead, n, heads, dh).swapaxes(-3, -2),), finite=True
     )
 
 
@@ -584,7 +613,13 @@ def _indices(op: str, indices) -> np.ndarray:
 
 @_quiet
 def gather_rows(table, indices):
-    """Select rows of a rank-2 table by rank-1 or rank-2 indices; backward scatter-adds."""
+    """Select rows of a rank-2 table by rank-1 or rank-2 indices; backward scatter-adds.
+
+    A table with no more rows than columns (a token embedding) scatter-adds
+    as the product ``onehot(indices)ᵀ @ g``, whose one-hot is then never
+    larger than g; it adds each row's gradients in index order, as
+    ``np.add.at``, which a taller table uses.
+    """
     tv = _val(table)
     idx = _indices("gather_rows", indices)
     if tv.ndim != 2 or idx.ndim not in (1, 2):
@@ -595,6 +630,11 @@ def gather_rows(table, indices):
     shape = tv.shape
 
     def bw(g):
+        if shape[0] <= shape[1]:
+            flat = idx.reshape(-1)
+            onehot = np.zeros((flat.size, shape[0]))
+            onehot[np.arange(flat.size), flat] = 1.0
+            return (onehot.T @ g.reshape(-1, shape[1]),)
         full = np.zeros(shape)
         np.add.at(full, idx, g)
         return (full,)
@@ -623,7 +663,7 @@ def cross_entropy(logits, targets):
     n = lv.shape[0]
     # one softmax serves both passes: the forward's log-sum-exp and the
     # backward's probabilities share the row max, the flushed exps and their sums
-    top = lv.max(axis=1, keepdims=True)
+    top = _row_max(lv)
     e = lv - top
     _exp_flushed(e)
     total = e.sum(axis=1, keepdims=True)

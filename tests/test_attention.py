@@ -736,6 +736,11 @@ class TestCausalCov:
                 params,
             )
 
+    @pytest.mark.parametrize("width", [0, -1, 2.5, "3"], ids=["zero", "negative", "float", "str"])
+    def test_init_rejects_a_width_that_is_not_a_positive_int(self, width):
+        with pytest.raises(ConfigError, match="width must be a positive int"):
+            causal_amlp_cov_init(width)
+
     @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4), (4, 13)])
     def test_state_must_be_d_by_3d(self, shape):
         with pytest.raises(DimensionError, match="causal state sums must be d x 3d"):

@@ -191,12 +191,17 @@ def _softmax_three_arrays(x):
 
 
 class TestSoftmax:
-    @pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
+    # widths on both sides of the narrow-row bound (32), and sigma1's rank-5
+    # (..., heads, c) view of a hidden
+    @pytest.mark.parametrize(
+        "shape", [(7,), (5, 9), (3, 4, 6), (6, 32), (6, 33), (3, 5, 64), (2, 3, 5, 2, 16)]
+    )
     def test_in_place_matches_three_array_formula(self, shape):
         rng = np.random.default_rng(19)
         x = rng.standard_normal(shape) * 30
         x[..., 0] += 1e6  # a row offset far from zero
         for xv in (x, x + 1e12, -x):
+            np.testing.assert_array_equal(T._row_max(xv), xv.max(axis=-1, keepdims=True))
             np.testing.assert_array_equal(T._softmax_last(xv), _softmax_three_arrays(xv))
 
     def test_peak_holds_one_output_array(self):
@@ -613,6 +618,7 @@ BATCHED_CASES = {
     "matmul": (matmul, [(2, 5, 4), (2, 4, 3)], (2, 5, 3)),
     "matmul_param_right": (matmul, [(2, 5, 4), (4, 3)], (2, 5, 3)),
     "matmul_param_left": (matmul, [(3, 4), (2, 4, 5)], (2, 3, 5)),
+    "matmul_param_right_rank4": (matmul, [(2, 3, 4, 5), (5, 2)], (2, 3, 4, 2)),
     "transpose": (transpose, [(2, 4, 5)], (2, 5, 4)),
     "add": (add, [(2, 4, 4), (2, 4, 4)], (2, 4, 4)),
     "add_param": (add, [(4, 3), (2, 4, 3)], (2, 4, 3)),
@@ -665,6 +671,47 @@ class TestBatchedOpGradients:
         per_sample = [cross_entropy(Tensor(logits[b]), targets[b]).item() for b in range(2)]
         batched = cross_entropy(Tensor(logits), targets).item()
         assert abs(batched - np.mean(per_sample)) <= 1e-15 * abs(batched)
+
+    @pytest.mark.parametrize("width", [5, 32, 33])
+    def test_cross_entropy_row_max_is_exact(self, width):
+        # 2-D logits on both sides of the narrow-row bound, one row flushed:
+        # the loss equals its restatement over max(axis=1) bit for bit
+        rng = np.random.default_rng(width)
+        rows = rng.standard_normal((7, width)) * 30
+        rows[2, 1] -= 900.0
+        idx = rng.integers(0, width, 7)
+        top = rows.max(axis=1, keepdims=True)
+        e = rows - top
+        T._exp_flushed(e)
+        lse = np.log(e.sum(axis=1)) + top[:, 0]
+        assert cross_entropy(Tensor(rows), idx).item() == np.mean(lse - rows[np.arange(7), idx])
+
+    @pytest.mark.parametrize("rows, cols", [(5, 8), (8, 8), (9, 3)], ids=["onehot", "square", "add_at"])
+    @pytest.mark.parametrize("indices", [[4, 0, 4, 4, 1], [[0, 2, 2, 1], [4, 3, 0, 0]]], ids=["rank1", "rank2"])
+    def test_gather_rows_gradient_equals_add_at(self, rows, cols, indices):
+        # repeated ids, on both sides of the one-hot product's bound (a table
+        # with no more rows than columns): the same bits as np.add.at
+        rng = np.random.default_rng(rows)
+        table, idx = rng.standard_normal((rows, cols)), np.asarray(indices)
+        g = rng.standard_normal((*idx.shape, cols))
+        tape = Tape()
+        t = tape.leaf(Tensor(table))
+        backward(tape, sum_all(mul(gather_rows(t, idx), Tensor(g))))
+        expected = np.zeros((rows, cols))
+        np.add.at(expected, idx, g)
+        np.testing.assert_array_equal(t.grad.data, expected)
+
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)], ids=["rank3", "rank4"])
+    def test_shared_matrix_gradient_is_the_per_entry_sum(self, lead):
+        # the gradient of a matrix shared by every batch entry is one product
+        # over all rows; it equals the sum of the per-entry products
+        rng = np.random.default_rng(len(lead))
+        x, g = rng.standard_normal((*lead, 6, 5)), rng.standard_normal((*lead, 6, 3))
+        tape = Tape()
+        w = tape.leaf(Tensor(rng.standard_normal((5, 3))))
+        backward(tape, sum_all(mul(matmul(Tensor(x), w), Tensor(g))))
+        per_entry = sum(xe.T @ ge for xe, ge in zip(x.reshape(-1, 6, 5), g.reshape(-1, 6, 3)))
+        np.testing.assert_allclose(w.grad.data, per_entry, rtol=0, atol=1e-12)
 
     def test_cross_entropy_shares_the_flushed_softmax(self):
         # spreads past -700: the shifted logits at -720 and -760 have a
