@@ -11,9 +11,11 @@ sources, a head axis, or both), and every batch entry is computed
 independently.  Batch axes broadcast as numpy's do: an operand with fewer
 batch axes, or with extent 1 on one, is shared by every entry along it (a
 parameter applied to a batch of activations, one head's weights applied to
-every source), and its gradient is summed over them.  Elementwise ops need
-matching extents on the last two axes.  Extents that do not broadcast raise
-DimensionError.
+every source), and its gradient is summed over them.  ``matmul`` computes the
+gradient of a matrix shared by a batched operand as one product over all the
+batch's rows, ``a.reshape(-1, k).T @ g.reshape(-1, m)``, not one product per
+entry and a sum.  Elementwise ops need matching extents on the last two
+axes.  Extents that do not broadcast raise DimensionError.
 
 ``transpose`` and ``split_heads`` return read-only views of their operand,
 not copies: numpy hands transposed and strided operands straight to BLAS, so
@@ -44,11 +46,18 @@ backward, checks with ``_check_finite`` each intermediate a later softmax or
 ReLU could hide (a -inf becomes a probability or activation of 0), as the
 composed ops would have.  ``Tensor._wrap(arr, finite=True)`` adopts an array
 already known to be finite, such as a model parameter checked when it was
-stored, without a copy or a sum.  Softmax
-probabilities below e^-700 (about 1e-304) are exactly 0, never subnormal:
-numpy's vector ``exp`` leaves its fast loop for inputs from about -708 down,
-so max-shifted logits below -700 are clamped before the exp and zeroed after
-it (``_exp_flushed``).
+stored, without a copy or a sum, and without entering ``np.errstate``, since
+it does no arithmetic.  Softmax and ``cross_entropy`` take the maximum of
+rows at most 32 wide from a transposed copy, reduced along its first axis,
+which numpy does about 3x faster than along narrow rows; a maximum is exact,
+so the bits are those of ``max(axis=-1)``.  Softmax probabilities below
+e^-700 (about 1e-304) are exactly 0, never subnormal: numpy's vector ``exp``
+leaves its fast loop for inputs from about -708 down, so max-shifted logits
+below -700 are clamped before the exp and zeroed after it
+(``_exp_flushed``).  ``gather_rows``' backward is the product
+``onehot(indices)ᵀ @ g`` for a table with no more rows than columns (a token
+embedding, whose one-hot is then no larger than g), and ``np.add.at`` for a
+taller one.
 """
 
 from __future__ import annotations
@@ -432,11 +441,11 @@ _NARROW_ROWS = 32
 def _row_max(xv: np.ndarray) -> np.ndarray:
     """The maximum of each last-axis row, with the last axis kept as extent 1.
 
-    numpy reduces narrow rows slowly along the last axis (17.5 us for 512
-    rows of 16), so rows at most ``_NARROW_ROWS`` wide are copied transposed
-    and reduced along the first axis, elementwise across rows (5.6 us with
-    the copy; the two break even at width 64).  A maximum is exact in any
-    order, so both give the same bits.
+    numpy reduces narrow rows slowly along the last axis, so rows at most
+    ``_NARROW_ROWS`` wide are copied transposed and reduced along the first
+    axis, elementwise across rows: 512 rows of 16 take 2.9 us that way and
+    9.1 us along the rows (2-core AMD EPYC, numpy 2.4.6), and the two break
+    even at width 64.  A maximum is exact in any order, so both give the same bits.
     """
     width = xv.shape[-1]
     if width > _NARROW_ROWS:
@@ -617,8 +626,9 @@ def gather_rows(table, indices):
 
     A table with no more rows than columns (a token embedding) scatter-adds
     as the product ``onehot(indices)ᵀ @ g``, whose one-hot is then never
-    larger than g; it adds each row's gradients in index order, as
-    ``np.add.at``, which a taller table uses.
+    larger than g, and a taller table by ``np.add.at``.  The product gives
+    ``np.add.at``'s bits at toy sizes (96 ids); over thousands of ids BLAS
+    sums in blocks, and the two can differ by rounding.
     """
     tv = _val(table)
     idx = _indices("gather_rows", indices)
